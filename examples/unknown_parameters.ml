@@ -14,6 +14,7 @@ module Adversary = Jamming_adversary.Adversary
 module Lesu = Jamming_core.Lesu
 module Uniform = Jamming_station.Uniform
 module Metrics = Jamming_sim.Metrics
+module Aggregate = Jamming_sim.Aggregate
 
 let () =
   let n = 5000 and eps = 0.5 and window = 128 in
@@ -21,24 +22,30 @@ let () =
     "n = %d stations (unknown to them), adversary: (T = %d, 1 - %.1f)-bounded (also \
      unknown).@.@."
     n window eps;
-  let logic = Lesu.Logic.create () in
-  let last_stage = ref (Lesu.Logic.stage logic) in
-  let describe slot stage =
-    match stage with
+  (* Drive LESU's pure description by hand so the trace can read its
+     state after every slot. *)
+  let lesu = Lesu.protocol () in
+  let state = ref lesu.Aggregate.init and elected = ref false in
+  let last_stage = ref (Lesu.stage !state) in
+  let describe slot = function
     | Lesu.Estimating round -> Format.printf "slot %6d: estimation, round %d@." slot round
     | Lesu.Electing { i; j; eps_hat } ->
         Format.printf "slot %6d: LESK phase (i=%d, j=%d), guessed eps = %.3f@." slot i j
           eps_hat
-    | Lesu.Done -> Format.printf "slot %6d: leader elected.@." slot
   in
   let protocol =
     {
       Uniform.name = "LESU-traced";
-      tx_prob = (fun () -> Lesu.Logic.tx_prob logic);
+      tx_prob = (fun () -> lesu.Aggregate.tx_prob !state);
       on_state =
-        (fun state ->
-          Lesu.Logic.on_state logic state;
-          if Lesu.Logic.elected logic then Uniform.Elected else Uniform.Continue);
+        (fun channel ->
+          match lesu.Aggregate.step !state channel with
+          | Aggregate.Continue s ->
+              state := s;
+              Uniform.Continue
+          | Aggregate.Elected ->
+              elected := true;
+              Uniform.Elected);
     }
   in
   let rng = Prng.create ~seed:99 in
@@ -48,8 +55,9 @@ let () =
       ~observers:
         [
           Jamming_sim.Observer.of_on_slot (fun r ->
-              let stage = Lesu.Logic.stage logic in
-              if stage <> !last_stage then begin
+              let stage = Lesu.stage !state in
+              if !elected then Format.printf "slot %6d: leader elected.@." r.Metrics.slot
+              else if stage <> !last_stage then begin
                 describe r.Metrics.slot stage;
                 last_stage := stage
               end);
@@ -59,7 +67,7 @@ let () =
       ~budget ~max_slots:2_000_000 ()
   in
   Format.printf "@.%a@." Metrics.pp_result result;
-  (match Lesu.Logic.t0 logic with
+  (match Lesu.t0 !state with
   | Some t0 ->
       Format.printf
         "Estimation produced t0 = %.0f (a stand-in for c*max{log n = %.1f, T = %d}).@." t0

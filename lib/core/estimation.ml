@@ -54,20 +54,3 @@ let uniform ?(threshold = 2) () () =
         Logic.on_state logic state;
         if Logic.singled logic then Uniform.Elected else Uniform.Continue);
   }
-
-let run_logic ~threshold ~states =
-  let logic = Logic.create ~threshold in
-  let rec go = function
-    | [] -> (
-        match Logic.finished logic with
-        | Some r -> `Returned r
-        | None -> if Logic.singled logic then `Singled else `Running logic)
-    | st :: rest -> (
-        Logic.on_state logic st;
-        if Logic.singled logic then `Singled
-        else
-          match Logic.finished logic with
-          | Some r -> `Returned r
-          | None -> go rest)
-  in
-  go states

@@ -38,9 +38,3 @@ val uniform : ?threshold:int -> unit -> Jamming_station.Uniform.factory
 (** Estimation as a uniform protocol: reports [Elected] on [Single];
     after returning a round it keeps probability 0 (the caller is
     expected to stop it — used standalone only in tests/experiments). *)
-
-val run_logic :
-  threshold:int ->
-  states:Jamming_channel.Channel.state list ->
-  [ `Returned of int | `Singled | `Running of Logic.t ]
-(** Pure replay helper for tests: feed a state sequence. *)

@@ -1,83 +1,79 @@
 module Channel = Jamming_channel.Channel
 module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
 let config_valid ~eps = eps > 0.0 && eps <= 1.0
+
+(* The one parameter check every LESK form goes through: [eps] in
+   (0, 1] and the collision step denominator [a] (default the paper's
+   [8/ε]) at least 1.  Returns [a]; [where] names the caller in the
+   error message. *)
+let step_denominator ~where ?a ~eps () =
+  if not (config_valid ~eps) then invalid_arg (where ^ ": eps must lie in (0, 1]");
+  let a = match a with Some v -> v | None -> 8.0 /. eps in
+  if not (a >= 1.0) then invalid_arg (where ^ ": a must be >= 1");
+  a
+
+let tx_prob u = Float.exp2 (-.u)
+
+(* Every other LESK form (the [Logic] machine, the uniform driver, the
+   closure stations, the aggregate description, LESU's ladder) steps
+   through this one function, so their [u] trajectories agree bit for
+   bit. *)
+let step ~a u = function
+  | Channel.Null -> Aggregate.Continue (Float.max (u -. 1.0) 0.0)
+  | Channel.Collision -> Aggregate.Continue (u +. (1.0 /. a))
+  | Channel.Single -> Aggregate.Elected
+
+let protocol ?a ~eps () =
+  let a = step_denominator ~where:"Lesk.protocol" ?a ~eps () in
+  {
+    Aggregate.name = Printf.sprintf "LESK(eps=%.3g)" eps;
+    init = 0.0;
+    tx_prob;
+    step = step ~a;
+    compare = Float.compare;
+  }
 
 module Logic = struct
   type t = { eps : float; a : float; mutable u : float; mutable elected : bool }
 
   let create ?(initial_u = 0.0) ?a ~eps () =
-    if not (config_valid ~eps) then invalid_arg "Lesk.Logic.create: eps must lie in (0, 1]";
+    let a = step_denominator ~where:"Lesk.Logic.create" ?a ~eps () in
     if initial_u < 0.0 then invalid_arg "Lesk.Logic.create: initial_u must be >= 0";
-    let a = match a with Some v -> v | None -> 8.0 /. eps in
-    if not (a >= 1.0) then invalid_arg "Lesk.Logic.create: a must be >= 1";
     { eps; a; u = initial_u; elected = false }
 
   let eps t = t.eps
   let a t = t.a
   let u t = t.u
-  let tx_prob t = Float.exp2 (-.t.u)
+  let tx_prob t = tx_prob t.u
   let elected t = t.elected
 
   let on_state t state =
-    match state with
-    | Channel.Null -> t.u <- Float.max (t.u -. 1.0) 0.0
-    | Channel.Collision -> t.u <- t.u +. (1.0 /. t.a)
-    | Channel.Single -> t.elected <- true
+    match step ~a:t.a t.u state with
+    | Aggregate.Continue u -> t.u <- u
+    | Aggregate.Elected -> t.elected <- true
 end
 
-let uniform ?a ~eps () =
-  let logic = Logic.create ?a ~eps () in
-  {
-    Uniform.name = Printf.sprintf "LESK(eps=%.3g)" eps;
-    tx_prob = (fun () -> Logic.tx_prob logic);
-    on_state =
-      (fun state ->
-        Logic.on_state logic state;
-        if Logic.elected logic then Uniform.Elected else Uniform.Continue);
-  }
+let uniform ?a ~eps () = Aggregate.to_uniform (protocol ?a ~eps ()) ()
+let station ~eps = Uniform.distributed (Aggregate.to_uniform (protocol ~eps ()))
+let aggregate ?a ~eps () = Aggregate.Packed (protocol ?a ~eps ())
 
-let station ~eps = Uniform.distributed (uniform ~eps)
-
-(* The same state machine as [Logic], written as a pure transition on
-   the estimate [u] so the aggregate engine can drive a whole
-   population through one description.  Float updates mirror
-   [Logic.on_state] operation for operation, so a trajectory of channel
-   states produces bit-identical [u] values (asserted in the tests). *)
-let aggregate ?a ~eps () =
-  if not (config_valid ~eps) then invalid_arg "Lesk.aggregate: eps must lie in (0, 1]";
-  let a = match a with Some v -> v | None -> 8.0 /. eps in
-  if not (a >= 1.0) then invalid_arg "Lesk.aggregate: a must be >= 1";
-  Jamming_sim.Aggregate.Packed
-    {
-      Jamming_sim.Aggregate.name = Printf.sprintf "LESK(eps=%.3g)" eps;
-      init = 0.0;
-      tx_prob = (fun u -> Float.exp2 (-.u));
-      step =
-        (fun u state ->
-          match state with
-          | Channel.Null ->
-              Jamming_sim.Aggregate.Continue (Float.max (u -. 1.0) 0.0)
-          | Channel.Collision -> Continue (u +. (1.0 /. a))
-          | Channel.Single -> Elected);
-      compare = Float.compare;
-    }
-
-(* [Logic] in population form for [Notification.pool]: the estimate [u]
-   of every station in one float array.  Float updates mirror
-   [Logic.on_state] operation for operation; the transmission
-   probability is cached per station and recomputed — with the same
-   [Float.exp2 (-.u)] expression [Logic.tx_prob] uses — only when [u]
-   changes, so the cached value stays bit-identical to what the closure
-   instance would compute fresh (skipping the recompute when the update
-   left [u] unchanged, e.g. Null at u = 0, is sound for the same
-   reason).  The [elected] flag is not tracked: [sub_of_uniform]
-   discards it and [Logic.tx_prob] never reads it, so it is
-   unobservable through the Notification transformation. *)
+(* [step] in population form for [Notification.pool], hand-specialised
+   because it is the weak-CD hot path: the estimate [u] of every
+   station in one float array.  Float updates mirror [step] operation
+   for operation; the transmission probability is cached per station
+   and recomputed — with the same [Float.exp2 (-.u)] expression
+   [tx_prob] uses — only when [u] changes, so the cached value stays
+   bit-identical to what the closure instance would compute fresh
+   (skipping the recompute when the update left [u] unchanged, e.g.
+   Null at u = 0, is sound for the same reason).  A Single leaves [u]
+   alone and is not tracked: [sub_of_uniform] discards the outcome,
+   and under weak CD only listeners perceive a Single, which drops
+   their sub on the same slot, so nothing reads the state after it.
+   Pinned bitwise against [Logic] in test_notification.ml. *)
 let flat_sub ?a ~eps () =
-  if not (config_valid ~eps) then invalid_arg "Lesk.flat_sub: eps must lie in (0, 1]";
-  let a = match a with Some v -> v | None -> 8.0 /. eps in
-  if not (a >= 1.0) then invalid_arg "Lesk.flat_sub: a must be >= 1";
+  let a = step_denominator ~where:"Lesk.flat_sub" ?a ~eps () in
   {
     Notification.fs_name = Printf.sprintf "LESK(eps=%.3g)" eps;
     fs_make =

@@ -11,20 +11,39 @@
     Theorem 2.6: election in [O(max{T, log n / (ε³ log(1/ε))})] slots
     w.h.p. against any (T, 1−ε)-bounded adversary. *)
 
+val config_valid : eps:float -> bool
+
+val tx_prob : float -> float
+(** [tx_prob u = 2^−u]. *)
+
+val step :
+  a:float -> float -> Jamming_channel.Channel.state -> float Jamming_sim.Aggregate.outcome
+(** Algorithm 1's transition on the estimate [u] — the single place it
+    is written: [Null] steps to [max (u − 1) 0], [Collision] to
+    [u + 1/a], [Single] elects.  Exposed so protocols built from LESK
+    runs ({!Lesu}) step the same code. *)
+
+val protocol : ?a:float -> eps:float -> unit -> float Jamming_sim.Aggregate.protocol
+(** LESK as a pure description: state [u] starting at 0, {!tx_prob}
+    and {!step}.  Requires [0 < eps <= 1]; [a] overrides the collision
+    step denominator (default the paper's [8/ε], must be [>= 1]); the
+    step-size ablation bench uses it, including the symmetric [a = 1]
+    variant that the adversary can drive to divergence (§2.1).  Every
+    form below is derived from this description or steps through
+    {!step}. *)
+
 module Logic : sig
-  (** The per-station state machine, exposed for testing, instrumentation
-      and for adversaries that simulate the protocol (the paper's
-      adversary knows the protocol and the channel history). *)
+  (** The per-station state machine as a mutable record, for
+      instrumentation and for adversaries that simulate the protocol
+      (the paper's adversary knows the protocol and the channel
+      history).  [on_state] applies {!step}. *)
 
   type t
 
   val create : ?initial_u:float -> ?a:float -> eps:float -> unit -> t
-  (** Requires [0 < eps <= 1].  [initial_u] (default 0, the paper's
-      choice) lets chained elections warm-start from a previous
-      estimate — used by the {!K_selection} extension.  [a] overrides
-      the collision step denominator (default the paper's [8/ε]); the
-      step-size ablation bench uses it, including the symmetric [a = 1]
-      variant that the adversary can drive to divergence (§2.1). *)
+  (** Parameters as in {!protocol}.  [initial_u] (default 0, the
+      paper's choice) lets chained elections warm-start from a previous
+      estimate — used by the {!K_selection} extension. *)
 
   val eps : t -> float
 
@@ -43,27 +62,26 @@ module Logic : sig
   (** Advance on the state of the slot ([Null] / [Single] / [Collision]). *)
 end
 
-val config_valid : eps:float -> bool
-
 val uniform : ?a:float -> eps:float -> Jamming_station.Uniform.factory
-(** LESK as a uniform protocol for the fast engine.  [a] as in
-    {!Logic.create}. *)
+(** [Jamming_sim.Aggregate.to_uniform] of {!protocol}, for the fast
+    engine. *)
 
 val station : eps:float -> Jamming_station.Station.factory
-(** LESK as a distributed per-station protocol for the exact engine
-    (strong-CD leadership semantics). *)
+(** {!protocol} as distributed per-station closures
+    ([Uniform.distributed]) for the exact engine (strong-CD leadership
+    semantics). *)
 
 val aggregate : ?a:float -> eps:float -> unit -> Jamming_sim.Aggregate.packed
-(** LESK as a pure protocol description for the population-counting
-    {!Jamming_sim.Aggregate} engine: state is the estimate [u], updates
-    mirror {!Logic.on_state} bit for bit.  [a] as in {!Logic.create}. *)
+(** {!protocol}, packed for the population-counting
+    {!Jamming_sim.Aggregate} engine. *)
 
 val flat_sub : ?a:float -> eps:float -> unit -> Notification.flat_sub
-(** LESK as a population sub-algorithm for {!Notification.pool}: every
-    station's estimate [u] in one float array, updates mirroring
-    {!Logic.on_state} bit for bit, transmission probabilities cached
-    per station and recomputed (same [2^−u] expression) only when [u]
-    changes.  [a] as in {!Logic.create}. *)
+(** LESK as a population sub-algorithm for {!Notification.pool},
+    hand-specialised for the weak-CD hot path: every station's
+    estimate [u] in one float array, updates mirroring {!step} bit for
+    bit, transmission probabilities cached per
+    station and recomputed (same [2^−u] expression) only when [u]
+    changes.  [a] as in {!protocol}. *)
 
 val expected_time_bound : eps:float -> n:int -> window:int -> float
 (** The Theorem 2.6 shape [max{T, log n / (ε³ log₂(1/ε))}] (no hidden

@@ -1,11 +1,16 @@
 module Channel = Jamming_channel.Channel
 module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
 type config = { c : float; threshold : int }
 
 let default_config = { c = 4.0; threshold = 2 }
 
-type stage = Estimating of int | Electing of { i : int; j : int; eps_hat : float } | Done
+let check_config ~where config =
+  if not (config.c > 0.0) then invalid_arg (where ^ ": c must be positive");
+  if config.threshold < 1 then invalid_arg (where ^ ": threshold must be >= 1")
+
+type stage = Estimating of int | Electing of { i : int; j : int; eps_hat : float }
 
 let eps_guess j = Float.exp2 (-.float_of_int j /. 3.0)
 
@@ -16,174 +21,78 @@ let phase_duration ~t0 ~i ~j =
   if d >= float_of_int duration_cap then duration_cap
   else Int.max 1 (int_of_float (Float.ceil d))
 
-module Logic = struct
-  type phase = {
-    mutable lesk : Lesk.Logic.t;
-    mutable remaining : int;
-    mutable i : int;
-    mutable j : int;
-  }
+(* Algorithm 2 as a pure transition.  A state is either Estimation's
+   progress or the current time-boxed LESK phase with its estimate [u]
+   and step denominator [a = 8/ε_j], which [Lesk.step] advances. *)
+type state =
+  | Est of { round : int; slots_left : int; nulls : int }
+  | Elect of { t0 : float; i : int; j : int; remaining : int; a : float; u : float }
 
-  type state_machine =
-    | Est of Estimation.Logic.t
-    | Elect of phase
-    | Finished
+let stage = function
+  | Est { round; _ } -> Estimating round
+  | Elect { i; j; _ } -> Electing { i; j; eps_hat = eps_guess j }
 
-  type t = {
-    config : config;
-    mutable sm : state_machine;
-    mutable t0 : float option;
-    mutable elected : bool;
-  }
+let t0 = function Est _ -> None | Elect { t0; _ } -> Some t0
 
-  let create ?(config = default_config) () =
-    if not (config.c > 0.0) then invalid_arg "Lesu.Logic.create: c must be positive";
-    { config; sm = Est (Estimation.Logic.create ~threshold:config.threshold); t0 = None; elected = false }
+let fresh_phase ~t0 ~i ~j =
+  Elect { t0; i; j; remaining = phase_duration ~t0 ~i ~j; a = 8.0 /. eps_guess j; u = 0.0 }
 
-  let stage t =
-    match t.sm with
-    | Est e -> Estimating (Estimation.Logic.round e)
-    | Elect p -> Electing { i = p.i; j = p.j; eps_hat = eps_guess p.j }
-    | Finished -> Done
-
-  let t0 t = t.t0
-
-  let tx_prob t =
-    match t.sm with
-    | Est e -> Estimation.Logic.tx_prob e
-    | Elect p -> Lesk.Logic.tx_prob p.lesk
-    | Finished -> 0.0
-
-  let elected t = t.elected
-
-  let start_electing t ~round =
-    let t0 = t.config.c *. Float.exp2 (float_of_int (1 + round)) in
-    t.t0 <- Some t0;
-    t.sm <-
-      Elect
-        {
-          lesk = Lesk.Logic.create ~eps:(eps_guess 1) ();
-          remaining = phase_duration ~t0 ~i:1 ~j:1;
-          i = 1;
-          j = 1;
-        }
-
-  let next_phase t p =
-    let t0 = match t.t0 with Some v -> v | None -> assert false in
-    let i, j = if p.j >= p.i then (p.i + 1, 1) else (p.i, p.j + 1) in
-    p.i <- i;
-    p.j <- j;
-    p.lesk <- Lesk.Logic.create ~eps:(eps_guess j) ();
-    p.remaining <- phase_duration ~t0 ~i ~j
-
-  let on_state t state =
-    if not t.elected then
-      match t.sm with
-      | Finished -> ()
-      | Est e -> (
-          Estimation.Logic.on_state e state;
-          if Estimation.Logic.singled e then begin
-            t.elected <- true;
-            t.sm <- Finished
-          end
-          else
-            match Estimation.Logic.finished e with
-            | Some round -> start_electing t ~round
-            | None -> ())
-      | Elect p ->
-          Lesk.Logic.on_state p.lesk state;
-          if Lesk.Logic.elected p.lesk then begin
-            t.elected <- true;
-            t.sm <- Finished
-          end
-          else begin
-            p.remaining <- p.remaining - 1;
-            if p.remaining <= 0 then next_phase t p
-          end
-end
-
-let uniform ?config () () =
-  let logic = Logic.create ?config () in
-  {
-    Uniform.name = "LESU";
-    tx_prob = (fun () -> Logic.tx_prob logic);
-    on_state =
-      (fun state ->
-        Logic.on_state logic state;
-        if Logic.elected logic then Uniform.Elected else Uniform.Continue);
-  }
-
-let station ?config () = Uniform.distributed (uniform ?config ())
-
-(* [Logic] rewritten as a pure transition for the aggregate engine.
-   States carry everything [Logic]'s mutable machine does — estimation
-   progress, or the current LESK phase with its estimate [u] — and
-   every float update mirrors the mutable code operation for operation,
-   so a trajectory of channel states produces identical tx_prob values
-   (asserted in the tests). *)
-type pure_state =
-  | Pure_est of { round : int; slots_left : int; nulls : int }
-  | Pure_elect of { t0 : float; i : int; j : int; remaining : int; u : float }
-
-let aggregate ?(config = default_config) () =
-  if not (config.c > 0.0) then invalid_arg "Lesu.aggregate: c must be positive";
-  if config.threshold < 1 then
-    invalid_arg "Lesu.aggregate: threshold must be >= 1";
-  let fresh_phase ~t0 ~i ~j =
-    Pure_elect { t0; i; j; remaining = phase_duration ~t0 ~i ~j; u = 0.0 }
-  in
-  let step st state =
-    match st, state with
-    | _, Channel.Single -> Jamming_sim.Aggregate.Elected
-    | Pure_est { round; slots_left; nulls }, (Channel.Null | Channel.Collision) ->
-        let nulls = if state = Channel.Null then nulls + 1 else nulls in
-        let slots_left = slots_left - 1 in
-        if slots_left > 0 then
-          Jamming_sim.Aggregate.Continue (Pure_est { round; slots_left; nulls })
-        else if nulls >= config.threshold then
-          let t0 = config.c *. Float.exp2 (float_of_int (1 + round)) in
-          Continue (fresh_phase ~t0 ~i:1 ~j:1)
-        else
-          Continue
-            (Pure_est { round = round + 1; slots_left = 1 lsl (round + 1); nulls = 0 })
-    | Pure_elect { t0; i; j; remaining; u }, (Channel.Null | Channel.Collision) ->
-        let u =
-          match state with
-          | Channel.Null -> Float.max (u -. 1.0) 0.0
-          | _ -> u +. (1.0 /. (8.0 /. eps_guess j))
-        in
-        let remaining = remaining - 1 in
-        if remaining > 0 then Continue (Pure_elect { t0; i; j; remaining; u })
-        else
-          let i, j = if j >= i then (i + 1, 1) else (i, j + 1) in
-          Continue (fresh_phase ~t0 ~i ~j)
+let protocol ?(config = default_config) () =
+  check_config ~where:"Lesu.protocol" config;
+  let step st channel =
+    match st with
+    | Est { round; slots_left; nulls } -> (
+        match channel with
+        | Channel.Single -> Aggregate.Elected
+        | Channel.Null | Channel.Collision ->
+            let nulls = if channel = Channel.Null then nulls + 1 else nulls in
+            let slots_left = slots_left - 1 in
+            if slots_left > 0 then Aggregate.Continue (Est { round; slots_left; nulls })
+            else if nulls >= config.threshold then
+              let t0 = config.c *. Float.exp2 (float_of_int (1 + round)) in
+              Continue (fresh_phase ~t0 ~i:1 ~j:1)
+            else Continue (Est { round = round + 1; slots_left = 1 lsl (round + 1); nulls = 0 }))
+    | Elect ({ t0; i; j; remaining; a; u } as phase) -> (
+        match Lesk.step ~a u channel with
+        | Aggregate.Elected -> Aggregate.Elected
+        | Aggregate.Continue u ->
+            let remaining = remaining - 1 in
+            if remaining > 0 then Continue (Elect { phase with remaining; u })
+            else
+              let i, j = if j >= i then (i + 1, 1) else (i, j + 1) in
+              Continue (fresh_phase ~t0 ~i ~j))
   in
   let tx_prob = function
-    | Pure_est { round; _ } -> Float.exp2 (-.Float.exp2 (float_of_int round))
-    | Pure_elect { u; _ } -> Float.exp2 (-.u)
+    | Est { round; _ } -> Float.exp2 (-.Float.exp2 (float_of_int round))
+    | Elect { u; _ } -> Lesk.tx_prob u
   in
-  Jamming_sim.Aggregate.Packed
-    {
-      Jamming_sim.Aggregate.name = "LESU";
-      init = Pure_est { round = 1; slots_left = 2; nulls = 0 };
-      tx_prob;
-      step;
-      compare = Stdlib.compare;
-    }
+  {
+    Aggregate.name = "LESU";
+    init = Est { round = 1; slots_left = 2; nulls = 0 };
+    tx_prob;
+    step;
+    compare = Stdlib.compare;
+  }
 
-(* [Logic] in population form for [Notification.pool]: stage codes and
+let uniform ?config () = Aggregate.to_uniform (protocol ?config ())
+let station ?config () = Uniform.distributed (uniform ?config ())
+let aggregate ?config () = Aggregate.Packed (protocol ?config ())
+
+(* [protocol] in population form for [Notification.pool],
+   hand-specialised because it is the weak-CD hot path: stage codes and
    estimation/election progress in flat arrays.  Every float update
-   mirrors the mutable machine ([Estimation.Logic] + [Logic]) operation
-   for operation; the per-station transmission probability is cached
-   and recomputed — with the exact expressions [tx_prob] uses — only
-   when the underlying state changes, so it stays bit-identical to a
-   fresh closure computation.  As in [Lesk.flat_sub] the [elected]
-   flag is unobservable through [sub_of_uniform]; reaching it maps to
-   the frozen stage 2 (tx_prob 0, no further updates), exactly
-   [Logic]'s Finished. *)
+   mirrors [protocol]'s step operation for operation; the per-station
+   transmission probability is cached and recomputed — with the exact
+   expressions [protocol]'s [tx_prob] uses — only when the underlying
+   state changes, so it stays bit-identical to a fresh closure
+   computation.  A Single moves a station to the frozen stage 2
+   (tx_prob 0, no further updates); the closure driver instead keeps
+   its last state.  Neither is observable: [sub_of_uniform] discards
+   the outcome, and under weak CD only listeners perceive a Single,
+   which drops their sub on the same slot.  Pinned bitwise against
+   [protocol] up to the first Single in test_notification.ml. *)
 let flat_sub ?(config = default_config) () =
-  if not (config.c > 0.0) then invalid_arg "Lesu.flat_sub: c must be positive";
-  if config.threshold < 1 then invalid_arg "Lesu.flat_sub: threshold must be >= 1";
+  check_config ~where:"Lesu.flat_sub" config;
   {
     Notification.fs_name = "LESU";
     fs_make =
@@ -227,7 +136,7 @@ let flat_sub ?(config = default_config) () =
         let fresh_phase s ~i ~j =
           el_i.(s) <- i;
           el_j.(s) <- j;
-          (* = [Lesk.Logic.create ~eps:(eps_guess j) ()]'s default [a] *)
+          (* = [fresh_phase]'s [a] *)
           a.(s) <- 8.0 /. eps_guess j;
           remaining.(s) <- phase_duration ~t0:t0.(s) ~i ~j;
           u.(s) <- 0.0;

@@ -25,35 +25,40 @@ val default_config : config
 type stage =
   | Estimating of int  (** current estimation round *)
   | Electing of { i : int; j : int; eps_hat : float }
-  | Done
 
-module Logic : sig
-  type t
+type state
+(** Estimation's progress, or the current time-boxed LESK phase with
+    its estimate [u]. *)
 
-  val create : ?config:config -> unit -> t
-  val stage : t -> stage
-  val t0 : t -> float option
-  (** Available once estimation has returned. *)
+val protocol : ?config:config -> unit -> state Jamming_sim.Aggregate.protocol
+(** LESU as a pure description — the single place its transitions are
+    written.  Estimation rounds first; when one returns, [t₀] is fixed
+    and the LESK ladder starts, each phase stepping {!Lesk.step} with
+    [a = 8/ε_j] for {!phase_duration} slots.  A [Single] in any stage
+    elects.  Requires [c > 0] and [threshold >= 1]. *)
 
-  val tx_prob : t -> float
-  val elected : t -> bool
-  val on_state : t -> Jamming_channel.Channel.state -> unit
-end
+val stage : state -> stage
+val t0 : state -> float option
+(** Available once estimation has returned. *)
 
 val uniform : ?config:config -> unit -> Jamming_station.Uniform.factory
+(** [Jamming_sim.Aggregate.to_uniform] of {!protocol}, for the fast
+    engine. *)
+
 val station : ?config:config -> unit -> Jamming_station.Station.factory
+(** {!uniform} as distributed per-station closures for the exact
+    engine. *)
 
 val aggregate : ?config:config -> unit -> Jamming_sim.Aggregate.packed
-(** LESU as a pure protocol description for the population-counting
-    {!Jamming_sim.Aggregate} engine.  The state carries the estimation
-    progress or the current LESK phase; transitions mirror
-    {!Logic.on_state} bit for bit. *)
+(** {!protocol}, packed for the population-counting
+    {!Jamming_sim.Aggregate} engine. *)
 
 val flat_sub : ?config:config -> unit -> Notification.flat_sub
-(** LESU as a population sub-algorithm for {!Notification.pool}: stage
-    codes and estimation/election progress in flat arrays, transitions
-    mirroring {!Logic.on_state} bit for bit, transmission probabilities
-    cached per station and recomputed with the exact {!Logic.tx_prob}
+(** LESU as a population sub-algorithm for {!Notification.pool},
+    hand-specialised for the weak-CD hot path: stage codes and
+    estimation/election progress in flat arrays, transitions mirroring
+    {!protocol} bit for bit up to the first [Single], transmission
+    probabilities cached per station and recomputed with the same
     expressions only when the state changes. *)
 
 val eps_guess : int -> float

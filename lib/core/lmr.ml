@@ -149,15 +149,6 @@ let pool : Station.pool_factory =
   let n_alive = ref n in
   let leaders = ref 0 in
   let finished_count = ref 0 in
-  let is_done i = match sts.(i).phase with Done -> true | _ -> false in
-  let observe_station i ~slot ~perceived ~transmitted =
-    let was_done = is_done i in
-    observe_one sts.(i) ~slot ~perceived ~transmitted;
-    if (not was_done) && is_done i then begin
-      incr finished_count;
-      if Station.equal_status sts.(i).status Station.Leader then incr leaders
-    end
-  in
   {
     Station.pool_size = n;
     pool_begin_slot = (fun ~slot:_ -> ());
@@ -196,22 +187,19 @@ let pool : Station.pool_factory =
             let transmitted =
               match actions.(i) with Station.Transmit -> true | _ -> false
             in
-            observe_station i ~slot
-              ~perceived:(if transmitted then tx else rx)
-              ~transmitted;
-            if is_done i then begin
-              alive.(!k) <- alive.(!n_alive - 1);
-              decr n_alive
-            end
-            else incr k
+            let st = sts.(i) in
+            observe_one st ~slot ~perceived:(if transmitted then tx else rx) ~transmitted;
+            match st.phase with
+            | Done ->
+                incr finished_count;
+                if Station.equal_status st.status Station.Leader then incr leaders;
+                alive.(!k) <- alive.(!n_alive - 1);
+                decr n_alive
+            | Start | Search | Tie -> incr k
           end
         done);
-    pool_decide = (fun ~slot i -> decide_one sts.(i) ~rng:rngs.(i) ~rounds:r ~slot);
-    pool_observe =
-      (fun ~slot ~perceived ~transmitted i -> observe_station i ~slot ~perceived ~transmitted);
     pool_status = (fun i -> sts.(i).status);
-    pool_finished = is_done;
     pool_all_finished = (fun () -> !finished_count = n);
     pool_leaders = (fun () -> !leaders);
-    pool_awake = Some (fun ~until:_ i -> awake.(i));
+    pool_awake = (fun ~until:_ i -> awake.(i));
   }

@@ -68,7 +68,7 @@ val station : n:int -> Jamming_station.Station.factory
 val pool : Jamming_station.Station.pool_factory
 (** Struct-of-arrays population for {!Jamming_sim.Engine.run_pool}.
     Splits per-station streams in id order, so runs are bit-identical
-    to {!station} under [Engine.run] (asserted in [test_lmr.ml]).  On
-    the batch path sleep is managed internally and per-station awake
-    slots are reported through [pool_awake], so metered runs work on
-    both engine paths. *)
+    to {!station} under [Engine.run] (asserted in [test_lmr.ml]).  Sleep
+    is managed inside the pool and per-station awake slots are reported
+    through [pool_awake], so metered pooled runs carry the same energy
+    block as metered closure runs. *)

@@ -189,9 +189,8 @@ let pool ?on_phase (fsub : flat_sub) : Station.pool_factory =
      slots outside C1 are population-wide no-ops — A1 stations neither
      draw nor observe their sub there, and the only transition out of
      A1 needs a Single perceived by a listener, impossible with zero
-     transmitters on the fault-free path — so the batch entry points
-     skip the scan entirely.  (Only the batch path skips: the faulty
-     per-station path must keep its sensing draws aligned.) *)
+     transmitters — so the batch entry points skip the scan
+     entirely. *)
   let n_a1 = ref n in
   (* Energy bookkeeping: notification stations never sleep, so station
      [i] is awake from the first slot the pool sees until it finishes
@@ -327,8 +326,6 @@ let pool ?on_phase (fsub : flat_sub) : Station.pool_factory =
     pool_begin_slot = begin_slot;
     pool_decide_all;
     pool_observe_all;
-    pool_decide = (fun ~slot:_ i -> decide_i i);
-    pool_observe = (fun ~slot ~perceived ~transmitted i -> observe_i ~slot ~perceived ~transmitted i);
     pool_status =
       (fun i ->
         let ph = phase.(i) in
@@ -336,17 +333,14 @@ let pool ?on_phase (fsub : flat_sub) : Station.pool_factory =
         else if ph = ph_a2 || ph = ph_blocking || ph = ph_done_nonleader then
           Station.Non_leader
         else Station.Leader);
-    pool_finished = (fun i -> phase.(i) >= ph_done_leader);
     pool_all_finished = (fun () -> !n_done = n);
     pool_leaders = (fun () -> !n_leaders);
     pool_awake =
-      Some
-        (fun ~until i ->
-          if !first_slot = min_int then 0
-          else
-            let stop =
-              if finish_at.(i) = max_int then until
-              else Int.min until (finish_at.(i) + 1)
-            in
-            Int.max 0 (stop - !first_slot));
+      (fun ~until i ->
+        if !first_slot = min_int then 0
+        else
+          let stop =
+            if finish_at.(i) = max_int then until else Int.min until (finish_at.(i) + 1)
+          in
+          Int.max 0 (stop - !first_slot));
   }

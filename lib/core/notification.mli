@@ -60,8 +60,10 @@ val station :
     oracle} for {!pool} (the way [Engine.run_reference] backs
     [Engine.run]): the pool must reproduce it bit for bit — same
     random-stream split points, same draw counts, same transition slots
-    — for every seed, fault plan and observer combination.  Production
-    weak-CD call sites should use {!pool}. *)
+    — for every seed, adversary and observer combination.  It is also
+    the path for runs with lifecycle faults or sensing noise, which
+    pools do not take.  Fault-free weak-CD call sites should use
+    {!pool}. *)
 
 (** {1 Flat station pool}
 

@@ -90,6 +90,29 @@ let make_adversary (adversary : Specs.adversary) setup ~seed =
   adversary.Specs.a_make ~seed:(seed lxor 0x5bd1e995) ~n:setup.n ~eps:setup.eps
     ~window:setup.window ()
 
+(* The fault set-up the Faulty engine and churned runs share: the
+   lifecycle-plan stream, the sensing-noise injection and the monitor.
+   Plans and noise get dedicated streams derived from the run seed, so
+   adding or removing faults never perturbs the station or adversary
+   streams. *)
+let fault_rig ~faults ~monitor_checks setup ~seed =
+  let stream derivation = Prng.create ~seed:(Prng.seed_of_string derivation) in
+  let plan_rng = stream (Printf.sprintf "%d/faults/plans" seed) in
+  let injection =
+    Faults.Injection.create ~noise:faults.Faults.Config.perception
+      ~rng:(stream (Printf.sprintf "%d/faults/noise" seed))
+  in
+  let checks =
+    match monitor_checks with
+    | Some c -> c
+    | None ->
+        (* The election safety property only holds under the paper's
+           fault-free assumptions; engine-level invariants always do. *)
+        if Faults.Config.is_null faults then Monitor.all_checks else Monitor.safety_checks
+  in
+  let monitor = Monitor.create ~checks ~seed ~window:setup.window ~eps:setup.eps () in
+  (plan_rng, injection, monitor)
+
 let run ?(observers = []) ?(energy = false) ~engine setup (adversary : Specs.adversary)
     ~seed =
   validate setup;
@@ -116,30 +139,9 @@ let run ?(observers = []) ?(energy = false) ~engine setup (adversary : Specs.adv
       Faults.Config.validate faults;
       let rng = Prng.create ~seed in
       let stations = Jamming_sim.Engine.make_stations ~n:setup.n ~rng factory in
-      (* Dedicated streams for plans and sensing noise, derived from the run
-         seed: adding or removing faults never perturbs the station or
-         adversary streams. *)
-      let plan_rng =
-        Prng.create ~seed:(Prng.seed_of_string (Printf.sprintf "%d/faults/plans" seed))
-      in
+      let plan_rng, injection, monitor = fault_rig ~faults ~monitor_checks setup ~seed in
       let plans = Faults.Config.sample_plans faults ~rng:plan_rng ~n:setup.n in
       let stations = Faults.Config.wrap_stations plans stations in
-      let injection =
-        Faults.Injection.create ~noise:faults.Faults.Config.perception
-          ~rng:
-            (Prng.create
-               ~seed:(Prng.seed_of_string (Printf.sprintf "%d/faults/noise" seed)))
-      in
-      let checks =
-        match monitor_checks with
-        | Some c -> c
-        | None ->
-            (* The election safety property only holds under the paper's
-               fault-free assumptions; engine-level invariants always do. *)
-            if Faults.Config.is_null faults then Monitor.all_checks
-            else Monitor.safety_checks
-      in
-      let monitor = Monitor.create ~checks ~seed ~window:setup.window ~eps:setup.eps () in
       let adv = make_adversary adversary setup ~seed in
       Jamming_sim.Engine.run ?meter:(meter ()) ~observers ~faults:injection ~monitor ~cd
         ~adversary:adv ~budget ~max_slots:setup.max_slots ~stations ()
@@ -470,8 +472,8 @@ let run_churn ?(observers = []) ~engine ~churn ?restart_after setup adversary ~s
        same seed with null churn reproduces the static run and adding
        churn never perturbs station or adversary randomness. *)
     let station_rng = Prng.create ~seed in
-    let plan_rng =
-      Prng.create ~seed:(Prng.seed_of_string (Printf.sprintf "%d/faults/plans" seed))
+    let plan_rng, injection, monitor =
+      fault_rig ~faults:faults_cfg ~monitor_checks setup ~seed
     in
     let spawn ~birth ~id =
       let st = factory ~id ~rng:(Prng.split station_rng) in
@@ -490,20 +492,6 @@ let run_churn ?(observers = []) ~engine ~churn ?restart_after setup adversary ~s
     let victim_rng =
       Prng.create ~seed:(Prng.seed_of_string (Printf.sprintf "%d/churn/victims" seed))
     in
-    let injection =
-      Faults.Injection.create ~noise:faults_cfg.Faults.Config.perception
-        ~rng:
-          (Prng.create
-             ~seed:(Prng.seed_of_string (Printf.sprintf "%d/faults/noise" seed)))
-    in
-    let checks =
-      match monitor_checks with
-      | Some c -> c
-      | None ->
-          if Faults.Config.is_null faults_cfg then Monitor.all_checks
-          else Monitor.safety_checks
-    in
-    let monitor = Monitor.create ~checks ~seed ~window:setup.window ~eps:setup.eps () in
     let adv = make_adversary adversary setup ~seed in
     Dynamic.run ?restart_after ~events:schedule ?kill:(Faults.Churn.kill_policy churn)
       ~victim_rng ~faults:injection ~monitor ~observers ~cd ~adversary:adv ~budget

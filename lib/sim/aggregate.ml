@@ -18,6 +18,24 @@ type packed = Packed : 'c protocol -> packed
 
 let name (Packed p) = p.name
 
+let to_uniform p () =
+  let state = ref p.init and elected = ref false in
+  {
+    Jamming_station.Uniform.name = p.name;
+    tx_prob = (fun () -> p.tx_prob !state);
+    on_state =
+      (fun channel ->
+        if !elected then Jamming_station.Uniform.Elected
+        else
+          match p.step !state channel with
+          | Continue s ->
+              state := s;
+              Jamming_station.Uniform.Continue
+          | Elected ->
+              elected := true;
+              Jamming_station.Uniform.Elected);
+  }
+
 (* Sort by protocol order and fuse classes that landed on the same
    state.  Keeping the list sorted makes the per-slot binomial draw
    order (and hence the random stream) a deterministic function of the

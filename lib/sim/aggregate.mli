@@ -54,6 +54,15 @@ type packed = Packed : 'c protocol -> packed
 
 val name : packed -> string
 
+val to_uniform : 'c protocol -> Jamming_station.Uniform.factory
+(** The description as a {!Jamming_station.Uniform.t} driver: each
+    instance holds its state in a ref, reads [tx_prob] off it and
+    advances it with [step].  After [step] returns [Elected] the state
+    is left as it was and every later [on_state] reports [Elected]
+    again.  This is how the uniform engine and (through
+    [Uniform.distributed]) the closure stations run a protocol written
+    once as a pure description. *)
+
 val run :
   ?start_slot:int ->
   ?energy:bool ->

@@ -3,7 +3,6 @@ module Adversary = Jamming_adversary.Adversary
 module Budget = Jamming_adversary.Budget
 module Station = Jamming_station.Station
 module Injection = Jamming_faults.Injection
-module Fault_plan = Jamming_faults.Fault_plan
 module Energy = Jamming_energy.Energy
 
 let make_stations ~n ~rng factory =
@@ -319,17 +318,15 @@ let run_reference ?(start_slot = 0) ?faults ?meter ?monitor ?(observers = []) ~c
     ~energy obs
 
 (* Vectorized engine over a {!Station.pool}.  Protocol state lives in
-   flat arrays inside the pool; per slot the fault-free path makes two
-   batch calls instead of O(active) closure invocations, and perception
-   is computed once per slot (one state for transmitters, one for
-   listeners) instead of once per station.  With lifecycle plans or
-   active sensing noise the engine falls back to a per-station loop
-   that reproduces, draw for draw, what [run] does over
-   [Fault_plan.wrap]ped closure stations: the crash latch is set during
-   the decide pass, dormant stations listen but still burn a sensing
-   draw, and dead or finished stations draw nothing. *)
-let run_pool ?(start_slot = 0) ?faults ?plans ?meter ?monitor ?(observers = []) ~cd
-    ~adversary ~budget ~max_slots ~pool () =
+   flat arrays inside the pool; per slot the engine makes two batch
+   calls instead of O(active) closure invocations, and perception is
+   computed once per slot (one state for transmitters, one for
+   listeners) instead of once per station.  Sleep is managed inside the
+   pool (no [Sleep] action ever reaches the engine), so metered runs
+   read per-station awake counts back from the pool instead of meter
+   events. *)
+let run_pool ?(start_slot = 0) ?meter ?monitor ?(observers = []) ~cd ~adversary ~budget
+    ~max_slots ~pool () =
   let n = pool.Station.pool_size in
   check_meter ?meter ~n "Engine.run_pool";
   let obs = assemble_observers ?monitor observers in
@@ -339,21 +336,24 @@ let run_pool ?(start_slot = 0) ?faults ?plans ?meter ?monitor ?(observers = []) 
   let tx_counts = Array.make n 0 in
   let jammed_slots = ref 0 in
   let nulls = ref 0 and singles = ref 0 and collisions = ref 0 in
-  let noise =
-    match faults with Some f when Injection.active f -> Some f | Some _ | None -> None
-  in
-  let plans =
-    match plans with
-    | Some ps when Array.exists (fun p -> not (Fault_plan.is_null p)) ps ->
-        if Array.length ps <> n then
-          invalid_arg "Engine.run_pool: plans length must equal pool size";
-        Array.iter Fault_plan.validate ps;
-        Some ps
-    | Some _ | None -> None
-  in
   let slot = ref 0 in
   let finished = ref (pool.Station.pool_all_finished ()) in
-  let observe_slot ~t ~jam ~state ~transmitters =
+  while (not !finished) && !slot < max_slots do
+    let t = start_slot + !slot in
+    let can_jam = Budget.can_jam budget in
+    let jam = can_jam && adversary.Adversary.wants_jam ~slot:t ~can_jam in
+    Budget.advance budget ~jam;
+    pool.Station.pool_begin_slot ~slot:t;
+    let transmitters = pool.Station.pool_decide_all ~slot:t ~actions ~tx_counts in
+    let state = Channel.resolve ~transmitters ~jammed:jam in
+    if jam then incr jammed_slots;
+    (match state with
+    | Channel.Null -> incr nulls
+    | Channel.Single -> incr singles
+    | Channel.Collision -> incr collisions);
+    let tx = Channel.perceive cd state ~transmitted:true in
+    let rx = Channel.perceive cd state ~transmitted:false in
+    pool.Station.pool_observe_all ~slot:t ~actions ~tx ~rx;
     adversary.Adversary.notify ~slot:t ~jammed:jam ~state;
     if observed then begin
       let record =
@@ -361,143 +361,19 @@ let run_pool ?(start_slot = 0) ?faults ?plans ?meter ?monitor ?(observers = []) 
       in
       let leaders = if needs_leaders then pool.Station.pool_leaders () else -1 in
       Array.iter (fun o -> o.Observer.on_slot record ~leaders) obs
-    end
-  in
-  let batch = plans = None && noise = None in
-  (match (plans, noise) with
-  | None, None ->
-      (* Fast batch path: the pool iterates its own dense active set.
-         Sleep is managed inside the pool (no [Sleep] action ever
-         reaches the engine), so metered batch runs read per-station
-         awake counts back from the pool instead of meter events. *)
-      (match (meter, pool.Station.pool_awake) with
-      | Some _, None ->
-          invalid_arg "Engine.run_pool: pool does not track awake slots (pool_awake = None)"
-      | _ -> ());
-      while (not !finished) && !slot < max_slots do
-        let t = start_slot + !slot in
-        let can_jam = Budget.can_jam budget in
-        let jam = can_jam && adversary.Adversary.wants_jam ~slot:t ~can_jam in
-        Budget.advance budget ~jam;
-        pool.Station.pool_begin_slot ~slot:t;
-        let transmitters = pool.Station.pool_decide_all ~slot:t ~actions ~tx_counts in
-        let state = Channel.resolve ~transmitters ~jammed:jam in
-        if jam then incr jammed_slots;
-        (match state with
-        | Channel.Null -> incr nulls
-        | Channel.Single -> incr singles
-        | Channel.Collision -> incr collisions);
-        let tx = Channel.perceive cd state ~transmitted:true in
-        let rx = Channel.perceive cd state ~transmitted:false in
-        pool.Station.pool_observe_all ~slot:t ~actions ~tx ~rx;
-        observe_slot ~t ~jam ~state ~transmitters;
-        incr slot;
-        finished := pool.Station.pool_all_finished ()
-      done
-  | _ ->
-      (* Faulty path: engine-owned active set + crash latch, mirroring
-         [run] over wrapped stations so noise draws line up exactly. *)
-      let dead = Array.make n false in
-      let wake_abs = Array.make n min_int in
-      let active = Array.make n 0 in
-      let n_active = ref 0 in
-      for i = 0 to n - 1 do
-        if not (pool.Station.pool_finished i) then begin
-          active.(!n_active) <- i;
-          incr n_active
-        end
-        else
-          match meter with Some m -> Energy.Meter.note_finish m i ~from:0 | None -> ()
-      done;
-      let dormant i ~t =
-        match plans with Some ps -> Fault_plan.dormant ps.(i) ~slot:t | None -> false
-      in
-      while !n_active > 0 && !slot < max_slots do
-        let t = start_slot + !slot in
-        let can_jam = Budget.can_jam budget in
-        let jam = can_jam && adversary.Adversary.wants_jam ~slot:t ~can_jam in
-        Budget.advance budget ~jam;
-        pool.Station.pool_begin_slot ~slot:t;
-        let transmitters = ref 0 in
-        for k = 0 to !n_active - 1 do
-          let i = active.(k) in
-          (* A sleeping station is untouched: in [run] over wrapped
-             closures the crash latch only advances inside decide or
-             observe, neither of which a sleeper receives. *)
-          if wake_abs.(i) > t then actions.(i) <- Station.Listen
-          else begin
-            (match plans with
-            | Some ps -> if Fault_plan.crashed ps.(i) ~slot:t then dead.(i) <- true
-            | None -> ());
-            if dead.(i) || dormant i ~t then actions.(i) <- Station.Listen
-            else
-              match pool.Station.pool_decide ~slot:t i with
-              | Station.Transmit ->
-                  actions.(i) <- Station.Transmit;
-                  incr transmitters;
-                  tx_counts.(i) <- tx_counts.(i) + 1;
-                  (match meter with Some m -> Energy.Meter.note_tx m i | None -> ())
-              | Station.Listen -> actions.(i) <- Station.Listen
-              | Station.Sleep until ->
-                  if until <= t then
-                    invalid_arg
-                      "Engine.run_pool: Sleep must target a slot after the current one";
-                  wake_abs.(i) <- until;
-                  actions.(i) <- Station.Listen;
-                  (match meter with
-                  | Some m ->
-                      Energy.Meter.note_sleep m i ~from:!slot
-                        ~until:(until - start_slot)
-                  | None -> ())
-          end
-        done;
-        let state = Channel.resolve ~transmitters:!transmitters ~jammed:jam in
-        if jam then incr jammed_slots;
-        (match state with
-        | Channel.Null -> incr nulls
-        | Channel.Single -> incr singles
-        | Channel.Collision -> incr collisions);
-        let kept = ref 0 in
-        for k = 0 to !n_active - 1 do
-          let i = active.(k) in
-          let asleep = wake_abs.(i) > t in
-          if (not asleep) && not (dead.(i) || pool.Station.pool_finished i) then begin
-            let transmitted = Station.equal_action actions.(i) Station.Transmit in
-            let sensed =
-              match noise with None -> state | Some inj -> Injection.sense inj state
-            in
-            let perceived = Channel.perceive cd sensed ~transmitted in
-            if not (dormant i ~t) then
-              pool.Station.pool_observe ~slot:t ~perceived ~transmitted i
-          end;
-          if not (dead.(i) || pool.Station.pool_finished i) then begin
-            active.(!kept) <- i;
-            incr kept
-          end
-          else
-            match meter with
-            | Some m -> Energy.Meter.note_finish m i ~from:(!slot + 1)
-            | None -> ()
-        done;
-        n_active := !kept;
-        observe_slot ~t ~jam ~state ~transmitters:!transmitters;
-        incr slot
-      done;
-      finished := !n_active = 0);
+    end;
+    incr slot;
+    finished := pool.Station.pool_all_finished ()
+  done;
   let statuses = Array.init n pool.Station.pool_status in
   let energy =
     match meter with
     | None -> None
-    | Some m ->
-        if batch then
-          match pool.Station.pool_awake with
-          | Some awake ->
-              Some
-                (Energy.of_per_station ~n ~slots:!slot
-                   ~tx:(fun i -> tx_counts.(i))
-                   ~awake:(fun i -> awake ~until:(start_slot + !slot) i))
-          | None -> None (* unreachable: rejected before the batch loop *)
-        else Some (Energy.Meter.summarize m ~slots:!slot)
+    | Some _ ->
+        Some
+          (Energy.of_per_station ~n ~slots:!slot
+             ~tx:(fun i -> tx_counts.(i))
+             ~awake:(fun i -> pool.Station.pool_awake ~until:(start_slot + !slot) i))
   in
   finalize ~slot:!slot ~finished:!finished ~statuses ~tx_counts
     ~jammed_slots:!jammed_slots ~nulls:!nulls ~singles:!singles ~collisions:!collisions

@@ -99,8 +99,6 @@ val run_reference :
 
 val run_pool :
   ?start_slot:int ->
-  ?faults:Jamming_faults.Injection.t ->
-  ?plans:Jamming_faults.Fault_plan.plan array ->
   ?meter:Jamming_energy.Energy.Meter.t ->
   ?monitor:Monitor.t ->
   ?observers:Observer.t list ->
@@ -112,30 +110,24 @@ val run_pool :
   unit ->
   Metrics.result
 (** The vectorized engine: one {!Jamming_station.Station.pool} holds
-    the whole population in flat arrays, and a fault-free slot is two
-    batch calls (decide-all, observe-all) with the perceived state
-    computed once per slot for transmitters and once for listeners —
-    not once per station.  Semantics are those of {!run} over the
-    equivalent closure stations: same slot ordering, same observer
-    records, same result, and (for the shipped pools) bit-identical
-    random streams, asserted in [test_notification.ml].
+    the whole population in flat arrays, and a slot is two batch calls
+    (decide-all, observe-all) with the perceived state computed once
+    per slot for transmitters and once for listeners — not once per
+    station.  Semantics are those of {!run} over the equivalent closure
+    stations: same slot ordering, same observer records, same result,
+    and (for the shipped pools) bit-identical random streams, asserted
+    in [test_notification.ml] and [test_lmr.ml].
 
-    [plans] carries station lifecycle faults (crash/sleep/late wake-up)
-    that the closure path would install with
-    {!Jamming_faults.Fault_plan.wrap}; here the engine applies the
-    gating itself, because wrapping is a closure-level device.  With
-    [plans] or active [faults] noise the engine switches to a
-    per-station loop that reproduces the closure path's sensing-draw
-    order exactly (dormant stations draw, dead and finished ones do
-    not).  The batch path and the per-station path never mix within a
-    run.
+    There is no fault injection here: runs with lifecycle faults or
+    sensing noise go through {!run} over the closure stations, which
+    the pools are bit-identical to.
 
-    [meter] behaves as in {!run} on the per-station path.  On the batch
-    path pools manage sleep internally, so the engine instead reads
-    per-station awake counts back through [pool.pool_awake] (rejecting
-    pools that do not provide it) and transmission counts from its own
-    [tx_counts]; the resulting [result.energy] block is identical to
-    what metering the equivalent closure stations produces. *)
+    [meter] turns on energy accounting.  Pools manage sleep internally,
+    so the engine does not feed the meter (only its size is checked);
+    it reads per-station awake counts back through [pool.pool_awake]
+    and transmission counts from its own [tx_counts].  The resulting
+    [result.energy] block is identical to what metering the equivalent
+    closure stations produces. *)
 
 val make_stations :
   n:int -> rng:Jamming_prng.Prng.t -> Jamming_station.Station.factory ->

@@ -35,8 +35,6 @@ type t = {
 
 type factory = id:int -> rng:Jamming_prng.Prng.t -> t
 
-let map_factory f (factory : factory) : factory = fun ~id ~rng -> f (factory ~id ~rng)
-
 type pool = {
   pool_size : int;
   pool_begin_slot : slot:int -> unit;
@@ -47,14 +45,10 @@ type pool = {
     tx:Jamming_channel.Channel.state ->
     rx:Jamming_channel.Channel.state ->
     unit;
-  pool_decide : slot:int -> int -> action;
-  pool_observe :
-    slot:int -> perceived:Jamming_channel.Channel.state -> transmitted:bool -> int -> unit;
   pool_status : int -> status;
-  pool_finished : int -> bool;
   pool_all_finished : unit -> bool;
   pool_leaders : unit -> int;
-  pool_awake : (until:int -> int -> int) option;
+  pool_awake : until:int -> int -> int;
 }
 
 type pool_factory = n:int -> rng:Jamming_prng.Prng.t -> pool

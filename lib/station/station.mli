@@ -47,12 +47,6 @@ type t = {
 type factory = id:int -> rng:Jamming_prng.Prng.t -> t
 (** Builds station [id]'s instance with a private random stream. *)
 
-val map_factory : (t -> t) -> factory -> factory
-(** [map_factory f factory] post-processes every built station with [f] —
-    the hook fault-injection wrappers use to decorate stations without
-    touching protocol code.  [f] receives the fully-built station (its
-    [id] field identifies it). *)
-
 (** {1 Vectorized station pools}
 
     A [pool] is a whole population behind one record: protocol state
@@ -60,24 +54,15 @@ val map_factory : (t -> t) -> factory -> factory
     instead of one closure bundle per station, so the engine's per-slot
     work is two batch calls instead of [2n] closure invocations.
 
-    Two calling conventions share the state:
-
-    {ul
-    {- The {e batch} path — [pool_begin_slot], [pool_decide_all],
-       [pool_observe_all] — is for fault-free runs.  The pool keeps its
-       own dense active set; finished stations cost nothing.
-       [pool_decide_all] fills [actions] and increments [tx_counts] for
-       every live station and returns the number of transmitters.
-       [pool_observe_all] takes the two possible perceived states of
-       the slot precomputed once ([tx] for stations that transmitted,
-       [rx] for listeners) — valid because perception without injected
-       noise is a pure function of (resolved state, transmitted).}
-    {- The {e per-station} path — [pool_decide]/[pool_observe] indexed
-       by station id, after [pool_begin_slot] — is for engines that
-       must interleave fault gating or per-station perception noise.
-       The two paths must not be mixed within one run: the batch path's
-       internal active set does not track stations the per-station path
-       advances.}}
+    The pool keeps its own dense active set, so finished stations cost
+    nothing.  [pool_decide_all] fills [actions] and increments
+    [tx_counts] for every live station and returns the number of
+    transmitters.  [pool_observe_all] takes the two possible perceived
+    states of the slot precomputed once ([tx] for stations that
+    transmitted, [rx] for listeners) — valid because perception without
+    injected noise is a pure function of (resolved state, transmitted).
+    Pools are for fault-free runs: runs with lifecycle faults or
+    sensing noise use the equivalent closure stations.
 
     [pool_leaders] and [pool_all_finished] are O(1) (maintained
     incrementally), so observer leader counts and termination checks
@@ -86,9 +71,8 @@ val map_factory : (t -> t) -> factory -> factory
 type pool = {
   pool_size : int;
   pool_begin_slot : slot:int -> unit;
-      (** Classify [slot] once for the whole population.  Must be
-          called before any decide/observe for that slot, on both
-          paths. *)
+      (** Classify [slot] once for the whole population.  Called before
+          [pool_decide_all] and [pool_observe_all] of that slot. *)
   pool_decide_all : slot:int -> actions:action array -> tx_counts:int array -> int;
   pool_observe_all :
     slot:int ->
@@ -96,22 +80,16 @@ type pool = {
     tx:Jamming_channel.Channel.state ->
     rx:Jamming_channel.Channel.state ->
     unit;
-  pool_decide : slot:int -> int -> action;
-  pool_observe :
-    slot:int -> perceived:Jamming_channel.Channel.state -> transmitted:bool -> int -> unit;
   pool_status : int -> status;
-  pool_finished : int -> bool;
   pool_all_finished : unit -> bool;
   pool_leaders : unit -> int;
-  pool_awake : (until:int -> int -> int) option;
+  pool_awake : until:int -> int -> int;
       (** [pool_awake ~until i] is the number of slots station [i] was
           awake (decided [Transmit] or [Listen]) over absolute slots
           [[first, until)], where [first] is the first slot the pool
-          saw.  Pools manage sleep internally on the batch path — the
-          engine never sees a [Sleep] action there — so energy metering
-          of a batch run reads awake counts from the pool.  [None]
-          means the pool does not track them and the run cannot be
-          metered on the batch path. *)
+          saw.  Pools manage sleep internally — the engine never sees a
+          [Sleep] action — so energy metering of a pooled run reads
+          awake counts from the pool. *)
 }
 
 type pool_factory = n:int -> rng:Jamming_prng.Prng.t -> pool

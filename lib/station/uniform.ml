@@ -30,36 +30,3 @@ let distributed factory ~id ~rng =
     status = (fun () -> !status);
     finished = (fun () -> !finished);
   }
-
-let to_station shared =
-  (* One logic instance shared by all stations of the run; the first
-     station to observe a slot advances it, the others just read the
-     cached outcome.  Valid in strong-CD, where all stations perceive the
-     same state. *)
-  let advanced_slot = ref (-1) in
-  let last_outcome = ref Continue in
-  fun ~id ~rng ->
-    let status = ref Station.Undecided in
-    let finished = ref false in
-    let decide ~slot:_ =
-      let p = shared.tx_prob () in
-      if Jamming_prng.Prng.bool rng ~p then Station.Transmit else Station.Listen
-    in
-    let observe ~slot ~perceived ~transmitted =
-      if slot > !advanced_slot then begin
-        advanced_slot := slot;
-        last_outcome := shared.on_state perceived
-      end;
-      match !last_outcome with
-      | Continue -> ()
-      | Elected ->
-          status := (if transmitted then Station.Leader else Station.Non_leader);
-          finished := true
-    in
-    {
-      Station.id;
-      decide;
-      observe;
-      status = (fun () -> !status);
-      finished = (fun () -> !finished);
-    }

@@ -31,12 +31,3 @@ val distributed : factory -> Station.factory
     transmitter, as [Non_leader] otherwise.  (In weak-CD a transmitter
     never perceives [Single]; use {!Jamming_core.Notification} to close
     that gap.) *)
-
-val to_station : t -> Station.factory
-(** Wrap one {e shared-logic} instance as a per-station adapter for the
-    exact engine — every station draws its own transmit coin but the
-    protocol state is advanced once per slot.  Intended for cross-engine
-    validation in strong-CD, where all stations perceive the same state.
-    The returned factory must be used for stations [0 .. n−1] of a single
-    run, and the engine must call [observe] on station 0 first (the
-    engine processes stations in id order, so this holds). *)

@@ -6,8 +6,8 @@
      per-station exact engine (KS over hundreds of seeds — per-station
      RNG streams necessarily differ, so never bitwise);
    - the pure protocol descriptions (Lesk.aggregate, Lesu.aggregate)
-     mirror their mutable Logic state machines transition for
-     transition;
+     agree transition for transition with Lesk.Logic and with the
+     declarative LESU oracle;
    - aggregate cells are first-class citizens of the Pool/Store
      machinery: jobs-invariant, cacheable, and churn-rejecting. *)
 
@@ -86,7 +86,7 @@ let test_trichotomy_statistics_match () =
         (Float.abs (a -. b) <= 0.05))
     (fractions agg) (fractions exact)
 
-(* --- pure protocol descriptions vs the mutable Logic machines --- *)
+(* --- pure protocol descriptions vs Lesk.Logic and the LESU oracle --- *)
 
 let state_of_int = function
   | 0 -> Channel.Null
@@ -117,26 +117,63 @@ let prop_pure_lesk_mirrors_logic =
           in
           go p.Aggregate.init states)
 
-let prop_pure_lesu_mirrors_logic =
-  qtest ~count:300 "Lesu.aggregate mirrors Lesu.Logic"
-    QCheck.(list_of_size Gen.(0 -- 500) (int_range 0 2))
-    (fun states ->
-      match Lesu.aggregate () with
+(* LESU's pure description against its independent oracle, the
+   Schedule-combinator rebuild over Estimation.Logic and fresh LESK
+   instances: bitwise-equal transmit probabilities and election on the
+   same step, across several [c] so short phases climb the ladder. *)
+let prop_pure_lesu_matches_declarative =
+  qtest ~count:300 "Lesu.aggregate ≡ Lesu_declarative"
+    QCheck.(pair (oneofl [ 0.05; 0.5; 4.0 ]) (channel_run ()))
+    (fun (c, states) ->
+      let config = { Lesu.default_config with c } in
+      match Lesu.aggregate ~config () with
       | Aggregate.Packed p ->
-          let logic = Lesu.Logic.create () in
-          let rec go state = function
+          let oracle = Lesu_declarative.uniform ~config () () in
+          let rec go state states =
+            Int64.equal
+              (Int64.bits_of_float (p.Aggregate.tx_prob state))
+              (Int64.bits_of_float (oracle.Uniform.tx_prob ()))
+            &&
+            match states with
             | [] -> true
-            | s :: rest ->
-                let s = state_of_int s in
-                Float.equal (p.Aggregate.tx_prob state) (Lesu.Logic.tx_prob logic)
-                &&
-                (Lesu.Logic.on_state logic s;
-                 match p.Aggregate.step state s with
-                 | Aggregate.Elected -> Lesu.Logic.elected logic
-                 | Aggregate.Continue state' ->
-                     (not (Lesu.Logic.elected logic)) && go state' rest)
+            | s :: rest -> (
+                match (p.Aggregate.step state s, oracle.Uniform.on_state s) with
+                | Aggregate.Elected, Uniform.Elected -> true
+                | Aggregate.Continue state', Uniform.Continue -> go state' rest
+                | Aggregate.Elected, Uniform.Continue | Aggregate.Continue _, Uniform.Elected
+                  ->
+                    false)
           in
           go p.Aggregate.init states)
+
+(* [to_uniform] on a counter: Null adds 1, Collision adds 2, Single
+   elects; the transmit probability reads the count back. *)
+let test_to_uniform () =
+  let counter =
+    {
+      Aggregate.name = "counter";
+      init = 0;
+      tx_prob = (fun k -> 1.0 /. float_of_int (k + 1));
+      step =
+        (fun k -> function
+          | Channel.Null -> Aggregate.Continue (k + 1)
+          | Channel.Collision -> Aggregate.Continue (k + 2)
+          | Channel.Single -> Aggregate.Elected);
+      compare = Int.compare;
+    }
+  in
+  let factory = Aggregate.to_uniform counter in
+  let u = factory () in
+  check_true "name carried" (u.Uniform.name = "counter");
+  check_float "starts at init" 1.0 (u.Uniform.tx_prob ());
+  check_true "Null continues" (u.Uniform.on_state Channel.Null = Uniform.Continue);
+  check_true "Collision continues" (u.Uniform.on_state Channel.Collision = Uniform.Continue);
+  check_float "state carried between slots" 0.25 (u.Uniform.tx_prob ());
+  check_true "Single reports Elected" (u.Uniform.on_state Channel.Single = Uniform.Elected);
+  check_float "state kept at Elected" 0.25 (u.Uniform.tx_prob ());
+  check_true "Elected again after" (u.Uniform.on_state Channel.Null = Uniform.Elected);
+  check_float "state kept after Elected" 0.25 (u.Uniform.tx_prob ());
+  check_float "fresh instance per call" 1.0 ((factory ()).Uniform.tx_prob ())
 
 (* --- engine invariants --- *)
 
@@ -271,7 +308,8 @@ let suite =
     ("differential vs exact, n=10000", `Slow, test_differential_large);
     ("trichotomy statistics match", `Slow, test_trichotomy_statistics_match);
     prop_pure_lesk_mirrors_logic;
-    prop_pure_lesu_mirrors_logic;
+    prop_pure_lesu_matches_declarative;
+    ("to_uniform carries and keeps state", `Quick, test_to_uniform);
     prop_result_invariants;
     ("population scale n=1e9", `Quick, test_population_scale);
     ("pool jobs-invariant", `Quick, test_jobs_invariance);

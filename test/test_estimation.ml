@@ -5,6 +5,24 @@ open Test_util
 let nulls k = List.init k (fun _ -> Channel.Null)
 let collisions k = List.init k (fun _ -> Channel.Collision)
 
+(* Feed a state sequence to a fresh [Logic], stopping where it stops. *)
+let run_logic ~threshold ~states =
+  let logic = Estimation.Logic.create ~threshold in
+  let rec go = function
+    | [] -> (
+        match Estimation.Logic.finished logic with
+        | Some r -> `Returned r
+        | None -> if Estimation.Logic.singled logic then `Singled else `Running logic)
+    | st :: rest -> (
+        Estimation.Logic.on_state logic st;
+        if Estimation.Logic.singled logic then `Singled
+        else
+          match Estimation.Logic.finished logic with
+          | Some r -> `Returned r
+          | None -> go rest)
+  in
+  go states
+
 let test_validation () =
   Alcotest.check_raises "threshold 0"
     (Invalid_argument "Estimation.Logic.create: threshold must be >= 1") (fun () ->
@@ -27,7 +45,7 @@ let test_round_structure () =
 
 let test_returns_on_enough_nulls () =
   (* Round 1 (2 slots) with 2 Nulls meets L = 2 immediately. *)
-  match Estimation.run_logic ~threshold:2 ~states:(nulls 2) with
+  match run_logic ~threshold:2 ~states:(nulls 2) with
   | `Returned 1 -> ()
   | `Returned r -> Alcotest.failf "returned %d, expected 1" r
   | `Singled -> Alcotest.fail "unexpected Single"
@@ -37,18 +55,18 @@ let test_nulls_must_be_in_one_round () =
   (* One Null in round 1 does not carry over; round 2 (4 slots) is fed
      only 3 slots with a single Null, so the logic is still mid-round. *)
   let states = [ Channel.Null; Channel.Collision ] @ collisions 2 @ [ Channel.Null ] in
-  match Estimation.run_logic ~threshold:2 ~states with
+  match run_logic ~threshold:2 ~states with
   | `Running l -> check_int "still in round 2" 2 (Estimation.Logic.round l)
   | `Returned r -> Alcotest.failf "returned %d too early" r
   | `Singled -> Alcotest.fail "unexpected Single"
 
 let test_single_stops_everything () =
-  match Estimation.run_logic ~threshold:2 ~states:(collisions 3 @ [ Channel.Single ]) with
+  match run_logic ~threshold:2 ~states:(collisions 3 @ [ Channel.Single ]) with
   | `Singled -> ()
   | _ -> Alcotest.fail "Single must end the estimation"
 
 let test_threshold_one () =
-  match Estimation.run_logic ~threshold:1 ~states:[ Channel.Collision; Channel.Null ] with
+  match run_logic ~threshold:1 ~states:[ Channel.Collision; Channel.Null ] with
   | `Returned 1 -> ()
   | _ -> Alcotest.fail "L=1 returns on the first Null-bearing round"
 

@@ -1,4 +1,5 @@
 module Lesu = Jamming_core.Lesu
+module Aggregate = Jamming_sim.Aggregate
 open Test_util
 
 let test_eps_guess () =
@@ -15,55 +16,60 @@ let test_phase_duration () =
   check_true "overflow clamps" (Lesu.phase_duration ~t0:1e18 ~i:60 ~j:1 > 0)
 
 let test_config_validation () =
-  Alcotest.check_raises "c = 0" (Invalid_argument "Lesu.Logic.create: c must be positive")
-    (fun () ->
-      ignore (Lesu.Logic.create ~config:{ Lesu.default_config with c = 0.0 } ()))
+  Alcotest.check_raises "c = 0" (Invalid_argument "Lesu.protocol: c must be positive")
+    (fun () -> ignore (Lesu.protocol ~config:{ Lesu.default_config with c = 0.0 } ()));
+  Alcotest.check_raises "threshold = 0"
+    (Invalid_argument "Lesu.protocol: threshold must be >= 1") (fun () ->
+      ignore (Lesu.protocol ~config:{ Lesu.default_config with threshold = 0 } ()))
+
+(* Feed [states] to the pure description; none of them may elect. *)
+let advance ?config states =
+  let p = Lesu.protocol ?config () in
+  List.fold_left
+    (fun st channel ->
+      match p.Aggregate.step st channel with
+      | Aggregate.Continue st' -> st'
+      | Aggregate.Elected -> Alcotest.fail "unexpected election")
+    p.Aggregate.init states
 
 let test_stage_progression () =
-  let l = Lesu.Logic.create () in
-  (match Lesu.Logic.stage l with
+  let st = advance [] in
+  (match Lesu.stage st with
   | Lesu.Estimating 1 -> ()
   | _ -> Alcotest.fail "starts in estimation round 1");
-  check_true "no t0 yet" (Lesu.Logic.t0 l = None);
+  check_true "no t0 yet" (Lesu.t0 st = None);
   (* Two Nulls finish Estimation(2) in round 1 -> electing. *)
-  Lesu.Logic.on_state l Channel.Null;
-  Lesu.Logic.on_state l Channel.Null;
-  (match Lesu.Logic.stage l with
+  let st = advance [ Channel.Null; Channel.Null ] in
+  (match Lesu.stage st with
   | Lesu.Electing { i = 1; j = 1; eps_hat } ->
       check_float_eps 1e-12 "first guess is eps_1" (Lesu.eps_guess 1) eps_hat
   | _ -> Alcotest.fail "electing after estimation returns");
-  (match Lesu.Logic.t0 l with
+  match Lesu.t0 st with
   | Some t0 -> check_float "t0 = c * 2^(1+round)" (4.0 *. 4.0) t0
-  | None -> Alcotest.fail "t0 must be set");
-  check_true "not elected yet" (not (Lesu.Logic.elected l))
+  | None -> Alcotest.fail "t0 must be set"
 
 let test_phase_schedule_advances () =
-  let l = Lesu.Logic.create ~config:{ Lesu.c = 0.04; threshold = 2 } () in
-  Lesu.Logic.on_state l Channel.Null;
-  Lesu.Logic.on_state l Channel.Null;
+  let config = { Lesu.c = 0.04; threshold = 2 } in
+  let at states =
+    match Lesu.stage (advance ~config (Channel.Null :: Channel.Null :: states)) with
+    | Lesu.Electing { i; j; _ } -> (i, j)
+    | Lesu.Estimating _ -> Alcotest.fail "should still be electing"
+  in
+  let check_at label expected states =
+    let i, j = at states in
+    check_true (Printf.sprintf "%s: at (%d,%d)" label i j) ((i, j) = expected)
+  in
   (* t0 = 0.04 * 4 = 0.16; dur(1,1) = ceil(3*2*0.16) = 1: one collision
      ends phase (1,1) and moves to (2,1) since j reached i. *)
-  Lesu.Logic.on_state l Channel.Collision;
-  (match Lesu.Logic.stage l with
-  | Lesu.Electing { i = 2; j = 1; _ } -> ()
-  | Lesu.Electing { i; j; _ } -> Alcotest.failf "at (%d,%d), expected (2,1)" i j
-  | _ -> Alcotest.fail "should still be electing");
+  check_at "after (1,1)" (2, 1) [ Channel.Collision ];
   (* dur(2,1) = ceil(3*4*0.16) = 2; then (2,2). *)
-  Lesu.Logic.on_state l Channel.Collision;
-  Lesu.Logic.on_state l Channel.Collision;
-  match Lesu.Logic.stage l with
-  | Lesu.Electing { i = 2; j = 2; _ } -> ()
-  | Lesu.Electing { i; j; _ } -> Alcotest.failf "at (%d,%d), expected (2,2)" i j
-  | _ -> Alcotest.fail "should still be electing"
+  check_at "after (2,1)" (2, 2) [ Channel.Collision; Channel.Collision; Channel.Collision ]
 
 let test_single_elects_any_stage () =
-  let l = Lesu.Logic.create () in
-  Lesu.Logic.on_state l Channel.Single;
-  check_true "single during estimation elects" (Lesu.Logic.elected l);
-  (match Lesu.Logic.stage l with
-  | Lesu.Done -> ()
-  | _ -> Alcotest.fail "stage Done after election");
-  check_float "done means silent" 0.0 (Lesu.Logic.tx_prob l)
+  let p = Lesu.protocol () in
+  let elects st = p.Aggregate.step st Channel.Single = Aggregate.Elected in
+  check_true "single during estimation elects" (elects (advance []));
+  check_true "single while electing elects" (elects (advance [ Channel.Null; Channel.Null ]))
 
 let test_elects_without_adversary () =
   List.iter

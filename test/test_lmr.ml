@@ -1,6 +1,5 @@
 module Lmr = Jamming_core.Lmr
 module Energy = Jamming_energy.Energy
-module Fault_plan = Jamming_faults.Fault_plan
 open Test_util
 
 let run_lmr ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 400_000)
@@ -12,11 +11,11 @@ let run_lmr ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 400_000)
     ~stations ()
 
 let run_lmr_pool ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 400_000)
-    ?(adversary = Adversary.none) ?plans ?meter ~n () =
+    ?(adversary = Adversary.none) ?meter ~n () =
   let rng = Prng.create ~seed in
   let pool = Lmr.pool ~n ~rng in
   let budget = Budget.create ~window ~eps in
-  Engine.run_pool ?plans ?meter ~cd:Channel.Strong_cd ~adversary:(adversary ()) ~budget
+  Engine.run_pool ?meter ~cd:Channel.Strong_cd ~adversary:(adversary ()) ~budget
     ~max_slots ~pool ()
 
 let test_elects_one_leader () =
@@ -49,7 +48,7 @@ let test_under_all_adversaries () =
 let result_testable = Alcotest.testable Metrics.pp_result Metrics.equal_result
 
 (* The pool must reproduce the closure stations bit-for-bit — including
-   the energy block, which the batch path synthesizes from pool-side
+   the energy block, which the pooled engine synthesizes from pool-side
    awake counters rather than meter events. *)
 let test_pool_matches_exact () =
   List.iter
@@ -65,16 +64,6 @@ let test_pool_matches_exact () =
             exact pooled)
         [ 1; 2; 3 ])
     [ (1, Adversary.none); (7, Adversary.none); (32, Adversary.greedy) ]
-
-(* The faulty per-station pool path (null plans) must agree with the
-   closure engine too: it meters Sleep events instead of reading
-   pool_awake. *)
-let test_pool_faulty_path_matches_exact () =
-  let n = 11 in
-  let plans = Array.make n Fault_plan.none in
-  let exact = run_lmr ~seed:5 ~n ~meter:(Energy.Meter.create ~n) () in
-  let pooled = run_lmr_pool ~seed:5 ~n ~plans ~meter:(Energy.Meter.create ~n) () in
-  Alcotest.check result_testable "null-plan pool path = exact" exact pooled
 
 let test_reference_engine_agrees () =
   let n = 13 in
@@ -134,8 +123,6 @@ let suite =
       test_many_seeds_always_one_leader;
     Alcotest.test_case "elects under every adversary" `Quick test_under_all_adversaries;
     Alcotest.test_case "pool is bit-identical to closures" `Quick test_pool_matches_exact;
-    Alcotest.test_case "null-plan pool path matches too" `Quick
-      test_pool_faulty_path_matches_exact;
     Alcotest.test_case "reference engine agrees under sleep" `Quick
       test_reference_engine_agrees;
     Alcotest.test_case "median awake ~ log log n" `Quick test_awake_is_log_logarithmic;

@@ -1,6 +1,4 @@
-module Schedule = Jamming_core.Schedule
 module Lesu = Jamming_core.Lesu
-module Lesu_declarative = Jamming_core.Lesu_declarative
 open Test_util
 
 let constant_phase ~label ~duration ~p () =

@@ -368,12 +368,46 @@ let test_engines_agree_on_means () =
     (Printf.sprintf "engine means agree (fast %.1f vs exact %.1f)" mf me)
     (mf /. me < 1.25 && me /. mf < 1.25)
 
+(* Wrap one shared-logic instance as per-station closures: every
+   station draws its own transmit coin but the protocol state is
+   advanced once per slot, by whichever station observes it first (the
+   engine goes in id order).  Valid in strong-CD, where all stations
+   perceive the same state; the factory serves stations 0 .. n−1 of a
+   single run. *)
+let to_station (shared : Uniform.t) : Station.factory =
+  let advanced_slot = ref (-1) in
+  let last_outcome = ref Uniform.Continue in
+  fun ~id ~rng ->
+    let status = ref Station.Undecided in
+    let finished = ref false in
+    let decide ~slot:_ =
+      let p = shared.Uniform.tx_prob () in
+      if Prng.bool rng ~p then Station.Transmit else Station.Listen
+    in
+    let observe ~slot ~perceived ~transmitted =
+      if slot > !advanced_slot then begin
+        advanced_slot := slot;
+        last_outcome := shared.Uniform.on_state perceived
+      end;
+      match !last_outcome with
+      | Uniform.Continue -> ()
+      | Uniform.Elected ->
+          status := (if transmitted then Station.Leader else Station.Non_leader);
+          finished := true
+    in
+    {
+      Station.id;
+      decide;
+      observe;
+      status = (fun () -> !status);
+      finished = (fun () -> !finished);
+    }
+
 let test_to_station_shared_logic () =
-  (* Uniform.to_station shares ONE logic across all stations (advanced by
-     whichever observes the slot first): election semantics must match
-     the distributed adapter in strong-CD. *)
+  (* [to_station] shares ONE logic across all stations: election
+     semantics must match the distributed adapter in strong-CD. *)
   let shared = (Jamming_core.Lesk.uniform ~eps:0.5) () in
-  let factory = Uniform.to_station shared in
+  let factory = to_station shared in
   let rng = rng ~seed:31 () in
   let stations = Engine.make_stations ~n:16 ~rng factory in
   let budget = Budget.create ~window:16 ~eps:0.5 in

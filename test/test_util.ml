@@ -27,6 +27,28 @@ let status_testable = Alcotest.testable Station.pp_status Station.equal_status
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
+(* Channel-state sequences for the protocol mirror properties: a
+   Single-free prefix, long enough to climb several rungs of LESU's
+   phase ladder, then a Single half the time. *)
+let channel_run ?(max_len = 1500) () =
+  let state =
+    QCheck.Gen.frequency
+      [ (2, QCheck.Gen.return Channel.Null); (3, QCheck.Gen.return Channel.Collision) ]
+  in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun prefix single -> if single then prefix @ [ Channel.Single ] else prefix)
+        (list_size (0 -- max_len) state)
+        bool)
+  in
+  let letter = function
+    | Channel.Null -> 'N'
+    | Channel.Single -> 'S'
+    | Channel.Collision -> 'C'
+  in
+  QCheck.make ~print:(fun l -> String.of_seq (Seq.map letter (List.to_seq l))) gen
+
 (* Run a uniform protocol to completion on the fast engine. *)
 let run_uniform ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 200_000)
     ?(adversary = Adversary.none) ~n factory =

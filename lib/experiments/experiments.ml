@@ -50,7 +50,3 @@ let run_one ?telemetry ~scale out e =
       let wall = Jamming_telemetry.Telemetry.timer tel "experiment.wall" in
       Runner.with_telemetry tel (fun () ->
           Jamming_telemetry.Telemetry.time wall (fun () -> e.Registry.run scale out))
-
-let run_all ?telemetry ~scale out = List.iter (run_one ?telemetry ~scale out) all
-
-let run_all_fmt ~scale ppf = run_all ~scale (Output.to_formatter ppf)

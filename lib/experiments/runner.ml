@@ -211,8 +211,8 @@ let default_base_seed = ref 42
 let default_energy = ref false
 
 (* Process-default telemetry sink, used when [?telemetry] is omitted —
-   the same pattern as [default_jobs]: harnesses (bench, sweep) install
-   a sink around a workload and experiment code stays oblivious. *)
+   the same pattern as [default_jobs]: a harness (sweep) installs a
+   sink around a workload and experiment code stays oblivious. *)
 let default_telemetry : Telemetry.t option ref = ref None
 
 let set_telemetry t = default_telemetry := t

@@ -412,7 +412,7 @@ val set_telemetry : Jamming_telemetry.Telemetry.t option -> unit
 
 val with_telemetry : Jamming_telemetry.Telemetry.t -> (unit -> 'a) -> 'a
 (** Run a thunk with the default sink set, restoring the previous sink
-    after (exception-safe).  This is how bench and sweep meter a whole
+    after (exception-safe).  This is how sweep meters a whole
     experiment without the experiment knowing. *)
 
 val default_store : Jamming_store.Store.t option ref

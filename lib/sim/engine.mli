@@ -94,8 +94,8 @@ val run_reference :
     Kept {e only} as the differential-testing oracle — {!run} must stay
     bit-identical to it (same results, same slot records, same leader
     counts, same noise draws under fault injection) for every seed.
-    Tests and the bench reference path use it; production call sites
-    must use {!run}. *)
+    Tests and experiment A1's oracle half use it; production call
+    sites must use {!run}. *)
 
 val run_pool :
   ?start_slot:int ->

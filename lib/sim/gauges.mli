@@ -3,9 +3,9 @@
     Both engines tick these atomic counters at the end of every run,
     whatever path the run was started through (runner, experiment, core
     extension, test). Harnesses read deltas around a workload to report
-    total slots simulated and slots/second — the currency of the
-    repo's perf trajectory ([BENCH_<date>.json]) — without having to
-    thread a sink through every call chain.
+    total slots simulated and slots/second — what [sweep --json-out]
+    reports per experiment — without having to thread a sink through
+    every call chain.
 
     Safe under OCaml 5 domains (atomic increments commute, so totals
     are independent of [jobs]); cost is two atomic adds per {e run},

@@ -1,8 +1,8 @@
 (** A minimal JSON representation, writer, and parser.
 
     Deliberately tiny and dependency-free: just enough to persist
-    telemetry snapshots, benchmark records ([BENCH_<date>.json]) and
-    experiment summaries, and to read them back for regression diffs.
+    telemetry snapshots, run-store samples and experiment summaries
+    ([sweep --json-out]), and to read them back.
     Output is deterministic: object fields are emitted in the order
     given, floats print via a stable shortest value-exact format
     ([%.12g] widened to [%.15g]/[%.17g] only when needed to round-trip,

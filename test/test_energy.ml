@@ -201,6 +201,18 @@ let test_always_on_protocols_never_sleep () =
           } );
     ]
 
+(* Metered LMR at population scale under the greedy jammer: every rep
+   elects and carries its energy block. *)
+let test_metered_lmr_at_scale () =
+  let setup = { E.Runner.n = 100_000; eps = 0.5; window = 64; max_slots = 2_000_000 } in
+  let sample =
+    E.Runner.replicate ~energy:true ~engine:(E.Runner.pooled_lmr ()) ~reps:2 setup
+      E.Specs.greedy
+  in
+  check_float "every rep elects" 1.0 (E.Runner.success_rate sample);
+  check_true "every rep carries an energy block"
+    (Array.for_all (fun r -> r.Metrics.energy <> None) sample.E.Runner.results)
+
 (* --- jobs-invariance of the energy block --- *)
 
 let energy_cells =
@@ -287,6 +299,8 @@ let suite =
     test_engines_conserve_and_do_not_perturb;
     Alcotest.test_case "always-on protocols never sleep" `Quick
       test_always_on_protocols_never_sleep;
+    Alcotest.test_case "metered LMR elects at n=10^5 under greedy" `Quick
+      test_metered_lmr_at_scale;
     Alcotest.test_case "energy blocks are jobs-invariant" `Quick
       test_energy_jobs_invariance;
     test_codec_roundtrip;

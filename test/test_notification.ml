@@ -238,6 +238,20 @@ let prop_pool_matches_closure_lewu =
     (fun (seed, n) ->
       identity_holds ~protocol:P_lewu ~seed ~n ~adversary:Adversary.greedy ~max_slots:10_000)
 
+(* The pools well past the populations the pool ≡ closure properties
+   reach: under the greedy jammer every rep elects within the slot cap. *)
+let test_pools_elect_at_scale () =
+  let module E = Jamming_experiments in
+  List.iter
+    (fun (what, engine, n) ->
+      let setup = { E.Runner.n; eps = 0.5; window = 64; max_slots = 2_000_000 } in
+      let sample = E.Runner.replicate ~engine ~reps:3 setup E.Specs.greedy in
+      check_float (what ^ " elects on every rep") 1.0 (E.Runner.success_rate sample))
+    [
+      ("pooled LEWK at n=10^3", E.Runner.pooled_lewk ~eps:0.5 (), 1_000);
+      ("pooled LEWU at n=10^4", E.Runner.pooled_lewu (), 10_000);
+    ]
+
 let test_staggered_join_sits_out () =
   (* Station 0 wakes at slot 4.  Slot 3 opened C1 of generation 1, so it
      joins that interval at offset ≠ 0 and must sit it out — no sub
@@ -323,6 +337,7 @@ let suite =
     prop_pool_matches_closure_lewk;
     prop_pool_matches_closure_lewu;
     ("staggered generation join sits out", `Quick, test_staggered_join_sits_out);
+    ("pools elect at n=10^3..10^4 under greedy", `Quick, test_pools_elect_at_scale);
     prop_lesk_flat_matches_logic;
     prop_lesu_flat_matches_protocol;
   ]

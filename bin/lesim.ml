@@ -158,9 +158,9 @@ let run protocol_name adversary_name n eps window max_slots seed reps jobs engin
                        notification engine when --weak-cd is given;
            uniform   — force the trichotomy-sampling engine;
            exact     — force the per-station O(n)/slot engine (behind
-                       --weak-cd: the closure notification oracle, kept
-                       for differential debugging — bit-identical to
-                       auto's pool, just slower);
+                       --weak-cd: Notification's one-station form of
+                       the pool's machine, the path faults and churn
+                       take — bit-identical to auto's pool, slower);
            aggregate — the class-population counting engine: O(#classes)
                        per slot, so n = 10^9 is fine on one core;
            lmr       — swap the protocol itself for the known-n
@@ -174,7 +174,7 @@ let run protocol_name adversary_name n eps window max_slots seed reps jobs engin
         in
         E.Runner.Pooled { name = weak_name; cd = Jamming_channel.Channel.Weak_cd; pool }
       in
-      let weak_closure_engine () =
+      let weak_station_engine () =
         let factory =
           if protocol_name = "lesk" then Jamming_core.Lewk.station ~eps ()
           else Jamming_core.Lewu.station ()
@@ -190,7 +190,7 @@ let run protocol_name adversary_name n eps window max_slots seed reps jobs engin
               Error "--engine uniform conflicts with --weak-cd (Notification runs on the exact engine)"
             else Ok (E.Runner.Uniform protocol)
         | "exact" -> (
-            if weak_cd then Ok (weak_closure_engine ())
+            if weak_cd then Ok (weak_station_engine ())
             else
               match protocol_name with
               | "lesk" ->

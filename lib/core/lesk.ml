@@ -59,19 +59,19 @@ let uniform ?a ~eps () = Aggregate.to_uniform (protocol ?a ~eps ()) ()
 let station ~eps = Uniform.distributed (Aggregate.to_uniform (protocol ~eps ()))
 let aggregate ?a ~eps () = Aggregate.Packed (protocol ?a ~eps ())
 
-(* [step] in population form for [Notification.pool], hand-specialised
-   because it is the weak-CD hot path: the estimate [u] of every
-   station in one float array.  Float updates mirror [step] operation
-   for operation; the transmission probability is cached per station
-   and recomputed — with the same [Float.exp2 (-.u)] expression
-   [tx_prob] uses — only when [u] changes, so the cached value stays
-   bit-identical to what the closure instance would compute fresh
-   (skipping the recompute when the update left [u] unchanged, e.g.
-   Null at u = 0, is sound for the same reason).  A Single leaves [u]
-   alone and is not tracked: [sub_of_uniform] discards the outcome,
-   and under weak CD only listeners perceive a Single, which drops
-   their sub on the same slot, so nothing reads the state after it.
-   Pinned bitwise against [Logic] in test_notification.ml. *)
+(* [step] in population form for Notification's machine (its pool and
+   its stations), hand-specialised because it is the weak-CD hot path:
+   the estimate [u] of every station in one float array.  Float updates
+   mirror [step] operation for operation; the transmission probability
+   is cached per station and recomputed — with the same
+   [Float.exp2 (-.u)] expression [tx_prob] uses — only when [u]
+   changes, so the cached value stays bit-identical to a fresh
+   computation (skipping the recompute when the update left [u]
+   unchanged, e.g. Null at u = 0, is sound for the same reason).  A
+   Single leaves [u] alone and is not tracked: under weak or no CD only
+   listeners perceive a Single, which drops their sub on the same slot,
+   so nothing reads the state after it.  Pinned bitwise against [Logic]
+   in test_notification.ml. *)
 let flat_sub ?a ~eps () =
   let a = step_denominator ~where:"Lesk.flat_sub" ?a ~eps () in
   {
@@ -82,8 +82,8 @@ let flat_sub ?a ~eps () =
         let p = Array.make n 1.0 in
         (* Station estimates move in lockstep except around Singles, so
            one memo entry serves nearly every station on a jammed slot;
-           [exp2] is pure, so the memoized float is the bit the closure
-           path would have computed. *)
+           [exp2] is pure, so the memoized float is the bit a fresh
+           computation would give. *)
         let memo_u = ref Float.nan and memo_p = ref 0.0 in
         let exp2m v =
           if v = !memo_u then !memo_p

@@ -76,12 +76,12 @@ val aggregate : ?a:float -> eps:float -> unit -> Jamming_sim.Aggregate.packed
     {!Jamming_sim.Aggregate} engine. *)
 
 val flat_sub : ?a:float -> eps:float -> unit -> Notification.flat_sub
-(** LESK as a population sub-algorithm for {!Notification.pool},
-    hand-specialised for the weak-CD hot path: every station's
-    estimate [u] in one float array, updates mirroring {!step} bit for
-    bit, transmission probabilities cached per
-    station and recomputed (same [2^−u] expression) only when [u]
-    changes.  [a] as in {!protocol}. *)
+(** LESK as Notification's sub-algorithm ({!Notification.station},
+    {!Notification.pool}), hand-specialised for the weak-CD hot path:
+    every station's estimate [u] in one float array, updates mirroring
+    {!step} bit for bit, transmission probabilities cached per station
+    and recomputed (same [2^−u] expression) only when [u] changes.  [a]
+    as in {!protocol}. *)
 
 val expected_time_bound : eps:float -> n:int -> window:int -> float
 (** The Theorem 2.6 shape [max{T, log n / (ε³ log₂(1/ε))}] (no hidden

@@ -78,19 +78,19 @@ let uniform ?config () = Aggregate.to_uniform (protocol ?config ())
 let station ?config () = Uniform.distributed (uniform ?config ())
 let aggregate ?config () = Aggregate.Packed (protocol ?config ())
 
-(* [protocol] in population form for [Notification.pool],
-   hand-specialised because it is the weak-CD hot path: stage codes and
-   estimation/election progress in flat arrays.  Every float update
-   mirrors [protocol]'s step operation for operation; the per-station
-   transmission probability is cached and recomputed — with the exact
-   expressions [protocol]'s [tx_prob] uses — only when the underlying
-   state changes, so it stays bit-identical to a fresh closure
-   computation.  A Single moves a station to the frozen stage 2
-   (tx_prob 0, no further updates); the closure driver instead keeps
-   its last state.  Neither is observable: [sub_of_uniform] discards
-   the outcome, and under weak CD only listeners perceive a Single,
-   which drops their sub on the same slot.  Pinned bitwise against
-   [protocol] up to the first Single in test_notification.ml. *)
+(* [protocol] in population form for Notification's machine (its pool
+   and its stations), hand-specialised because it is the weak-CD hot
+   path: stage codes and estimation/election progress in flat arrays.
+   Every float update mirrors [protocol]'s step operation for
+   operation; the per-station transmission probability is cached and
+   recomputed — with the exact expressions [protocol]'s [tx_prob] uses
+   — only when the underlying state changes, so it stays bit-identical
+   to a fresh computation.  A Single moves a station to the frozen
+   stage 2 (tx_prob 0, no further updates), where [protocol] would
+   elect.  Neither is observable under weak or no CD: only listeners
+   perceive a Single, which drops their sub on the same slot.  Pinned
+   bitwise against [protocol] up to the first Single in
+   test_notification.ml. *)
 let flat_sub ?(config = default_config) () =
   check_config ~where:"Lesu.flat_sub" config;
   {

@@ -54,12 +54,12 @@ val aggregate : ?config:config -> unit -> Jamming_sim.Aggregate.packed
     {!Jamming_sim.Aggregate} engine. *)
 
 val flat_sub : ?config:config -> unit -> Notification.flat_sub
-(** LESU as a population sub-algorithm for {!Notification.pool},
-    hand-specialised for the weak-CD hot path: stage codes and
-    estimation/election progress in flat arrays, transitions mirroring
-    {!protocol} bit for bit up to the first [Single], transmission
-    probabilities cached per station and recomputed with the same
-    expressions only when the state changes. *)
+(** LESU as Notification's sub-algorithm ({!Notification.station},
+    {!Notification.pool}), hand-specialised for the weak-CD hot path:
+    stage codes and estimation/election progress in flat arrays,
+    transitions mirroring {!protocol} bit for bit up to the first
+    [Single], transmission probabilities cached per station and
+    recomputed with the same expressions only when the state changes. *)
 
 val eps_guess : int -> float
 (** [eps_guess j = 2^{−j/3}], the tolerance sequence. *)

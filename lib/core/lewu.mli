@@ -8,6 +8,8 @@ val station :
   ?config:Lesu.config ->
   unit ->
   Jamming_station.Station.factory
+(** LEWU as per-station closures: {!Notification.station} over
+    {!Lesu.flat_sub}, the path for faulty and churned runs. *)
 
 val pool :
   ?on_phase:(id:int -> slot:int -> Notification.phase -> unit) ->
@@ -16,4 +18,5 @@ val pool :
   Jamming_station.Station.pool_factory
 (** LEWU in flat-pool form for [Engine.run_pool]: {!Notification.pool}
     over {!Lesu.flat_sub}.  Bit-identical to {!station} driven by
-    [Engine.run] on the same seed (asserted in test_notification.ml). *)
+    [Engine.run] on the same seed; test_notification.ml pins both to a
+    closure oracle. *)

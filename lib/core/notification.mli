@@ -18,26 +18,15 @@
     C3-[Single] within any interval it cannot fully jam; once the
     blockers leave, the first non-jammed C1 slot is [Null] and [l]
     terminates too.  Correct for [n ≥ 3] (the paper's requirement: at
-    least one blocker must exist). *)
+    least one blocker must exist).
 
-(** A restartable, station-side instance of the sub-algorithm [A],
-    driven on its own local slot sequence. *)
-type sub = {
-  sub_decide : unit -> Jamming_station.Station.action;
-  sub_observe :
-    perceived:Jamming_channel.Channel.state -> transmitted:bool -> unit;
-}
-
-type sub_factory = rng:Jamming_prng.Prng.t -> sub
-(** Called afresh at each interval restart, with a stream split off the
-    station's private generator (fresh random choices, as required by §3). *)
-
-val sub_of_uniform : Jamming_station.Uniform.factory -> sub_factory
-(** Station-side adaptation of a uniform protocol: a private copy of the
-    logic fed with this station's perceived states.  In weak-CD all
-    copies remain synchronised until the first [Single] (§3: transmitters
-    assume [Collision], which is the truth in every pre-[Single] slot they
-    transmit in). *)
+    The phase machine is written once, over flat arrays: phase codes
+    and generation tags in int arrays, the sub-algorithm's state in a
+    {!subpool}, one slot classification per slot.  {!pool} drives it
+    for a whole population and {!station} for one station; they are
+    bit-identical per seed.  The test suite keeps a closure-per-station
+    implementation as the differential oracle both are compared
+    against. *)
 
 type phase =
   | Phase_a1  (** running A in C1; leader still undefined *)
@@ -48,42 +37,16 @@ type phase =
 
 val pp_phase : Format.formatter -> phase -> unit
 
-val station :
-  ?on_phase:(id:int -> slot:int -> phase -> unit) ->
-  sub_factory ->
-  Jamming_station.Station.factory
-(** Wrap [A] into a full weak-CD leader-election station.  [on_phase] is
-    called at every phase transition (used by the example traces and the
-    tests).
+(** {1 The sub-algorithm}
 
-    This closure-per-station path is kept as the {e differential
-    oracle} for {!pool} (the way [Engine.run_reference] backs
-    [Engine.run]): the pool must reproduce it bit for bit — same
-    random-stream split points, same draw counts, same transition slots
-    — for every seed, adversary and observer combination.  It is also
-    the path for runs with lifecycle faults or sensing noise, which
-    pools do not take.  Fault-free weak-CD call sites should use
-    {!pool}. *)
-
-(** {1 Flat station pool}
-
-    The vectorized form of the transformation: one {!subpool} holds the
-    sub-algorithm state of all [n] stations in flat arrays, and
-    {!pool} adds the Notification phase machine on top — phase codes
-    and generation tags in int arrays, one slot classification per slot
-    (not per station per call site), one dense active set so finished
-    stations cost nothing.  Stream compatibility with the closure path
-    is part of the contract: station [i]'s generator is split off the
-    run generator in id order, and a sub-instance's stream is split off
-    the station's generator exactly when the closure path would call
-    [sub_factory]. *)
-
-(** Sub-algorithm state for a whole population.  [sp_reset i] restarts
-    station [i]'s instance (the closure path's "fresh [sub]");
-    [sp_tx_prob i] is its current transmission probability — it must
-    equal, bit for bit, what the closure instance's [tx_prob] would
-    return, including after [sp_on_state] updates; [sp_on_state i st]
-    feeds it one perceived state. *)
+    Sub-algorithm state for [n] stations.  [sp_reset i] restarts
+    station [i]'s instance of [A] (called at every interval restart,
+    right after a fresh stream is split off the station's generator);
+    [sp_tx_prob i] is its current transmission probability;
+    [sp_on_state i st] feeds it one perceived state.  The machine never
+    feeds a [Single] to an instance it reads again under weak or no CD:
+    only listeners perceive a [Single], and it moves them to the next
+    phase, which drops their instance. *)
 type subpool = {
   sp_reset : int -> unit;
   sp_tx_prob : int -> float;
@@ -94,14 +57,43 @@ type flat_sub = {
   fs_name : string;
   fs_make : n:int -> subpool;
 }
-(** A sub-algorithm [A] in population form; the counterpart of
-    {!sub_factory}. *)
+(** A sub-algorithm [A] in population form ([Lesk.flat_sub],
+    [Lesu.flat_sub]). *)
+
+(** {1 Drivers} *)
+
+val station :
+  ?on_phase:(id:int -> slot:int -> phase -> unit) ->
+  flat_sub ->
+  Jamming_station.Station.factory
+(** Wrap [A] into a full weak-CD leader-election station: the machine
+    at [n = 1], on the station's own generator (each sub-instance's
+    stream is split off it).  [on_phase] is called at every phase
+    transition with the station's [id] (used by the example traces and
+    the tests).
+
+    This is the path for runs with lifecycle faults, sensing noise or
+    churn, which pools do not take: every [decide] and [observe]
+    classifies its own slot, so a station need not be called every
+    slot.  Fault-free weak-CD call sites should use {!pool}.
+
+    Under [Strong_cd] a lone transmitter perceives its own [Single] and
+    its sub-instance keeps stepping on later slots of the interval,
+    exactly as in {!pool}; the test suite's closure oracle freezes the
+    instance there instead, so the two are compared under weak and no
+    CD only.  No caller pairs Notification with strong CD, where [A]
+    alone already elects. *)
 
 val pool :
   ?on_phase:(id:int -> slot:int -> phase -> unit) ->
   flat_sub ->
   Jamming_station.Station.pool_factory
-(** [pool fsub ~n ~rng] is the population that [n] closure stations
-    built from [station fsub' ~rng] would be, state in flat arrays.
-    Drive it with [Engine.run_pool].  [on_phase] fires at the same
-    (id, slot, phase) points as the closure path's. *)
+(** [pool fsub ~n ~rng] is the population that [n] stations built by
+    [station fsub] with [Engine.make_stations] over [rng] would be:
+    station [i]'s generator is split off [rng] in id order.  Drive it
+    with [Engine.run_pool].  On top of the machine it keeps one dense
+    active set, so finished stations cost nothing, and skips slots
+    outside C1 while every active station is still in A1 — sound only
+    for a whole population, where nobody can transmit there.
+    [on_phase] fires at the same (id, slot, phase) points as the
+    stations'. *)

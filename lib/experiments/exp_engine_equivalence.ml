@@ -95,98 +95,7 @@ let run scale out =
   done;
   Format.fprintf ppf
     "Zero-fault injection check: %d/%d seeds bit-identical between the seed engine and \
-     the fault-injection path (all-zero rates, monitor attached).@." zero_seeds zero_seeds;
-  (* Active-set hot path vs the O(n) reference oracle: Runner's Exact
-     and Faulty engine specs go through Engine.run, which must be
-     bit-identical to Engine.run_reference when every stream (stations,
-     adversary, fault plans, sensing noise) is rebuilt the way Runner
-     derives them.  The uniform engine has no active set and is covered
-     by the distributional check above. *)
-  let module Engine = Jamming_sim.Engine in
-  let module Prng = Jamming_prng.Prng in
-  let module Budget = Jamming_adversary.Budget in
-  let module Faults = Jamming_faults in
-  let oracle_seeds = 25 in
-  let eps = 0.5 and window = 32 in
-  let setup = { Runner.n = 24; eps; window; max_slots = 100_000 } in
-  let faults =
-    {
-      Faults.Config.none with
-      Faults.Config.perception = Faults.Perception.uniform ~p:0.1;
-      p_crash = 0.2;
-      crash_horizon = 200;
-    }
-  in
-  let reference ~kind ~seed =
-    let budget = Budget.create ~window ~eps in
-    let rng = Prng.create ~seed in
-    let factory = Jamming_core.Lesk.station ~eps in
-    let stations = Engine.make_stations ~n:setup.Runner.n ~rng factory in
-    let adv =
-      Specs.greedy.Specs.a_make ~seed:(seed lxor 0x5bd1e995) ~n:setup.Runner.n ~eps
-        ~window ()
-    in
-    match kind with
-    | `Exact ->
-        Engine.run_reference ~cd:Jamming_channel.Channel.Strong_cd ~adversary:adv ~budget
-          ~max_slots:setup.Runner.max_slots ~stations ()
-    | `Faulty ->
-        let plan_rng =
-          Prng.create ~seed:(Prng.seed_of_string (Printf.sprintf "%d/faults/plans" seed))
-        in
-        let plans = Faults.Config.sample_plans faults ~rng:plan_rng ~n:setup.Runner.n in
-        let stations = Faults.Config.wrap_stations plans stations in
-        let injection =
-          Faults.Injection.create ~noise:faults.Faults.Config.perception
-            ~rng:
-              (Prng.create
-                 ~seed:(Prng.seed_of_string (Printf.sprintf "%d/faults/noise" seed)))
-        in
-        let monitor =
-          Jamming_sim.Monitor.create ~checks:Jamming_sim.Monitor.safety_checks ~seed
-            ~window ~eps ()
-        in
-        Engine.run_reference ~faults:injection ~monitor
-          ~cd:Jamming_channel.Channel.Strong_cd ~adversary:adv ~budget
-          ~max_slots:setup.Runner.max_slots ~stations ()
-  in
-  for i = 1 to oracle_seeds do
-    let seed = Jamming_prng.Prng.seed_of_string (Printf.sprintf "A1/active-set/%d" i) in
-    let exact =
-      Runner.run
-        ~engine:
-          (Runner.Exact
-             {
-               name = "LESK-exact";
-               cd = Jamming_channel.Channel.Strong_cd;
-               factory = Jamming_core.Lesk.station ~eps;
-             })
-        setup Specs.greedy ~seed
-    in
-    if not (Jamming_sim.Metrics.equal_result exact (reference ~kind:`Exact ~seed)) then
-      failwith
-        (Printf.sprintf "A1: exact engine diverged from run_reference (seed %d)" seed);
-    let faulty =
-      Runner.run
-        ~engine:
-          (Runner.Faulty
-             {
-               name = "LESK-faulty";
-               cd = Jamming_channel.Channel.Strong_cd;
-               factory = Jamming_core.Lesk.station ~eps;
-               faults;
-               monitor_checks = None;
-             })
-        setup Specs.greedy ~seed
-    in
-    if not (Jamming_sim.Metrics.equal_result faulty (reference ~kind:`Faulty ~seed)) then
-      failwith
-        (Printf.sprintf "A1: faulty engine diverged from run_reference (seed %d)" seed)
-  done;
-  Format.fprintf ppf
-    "Active-set check: %d/%d seeds bit-identical between Engine.run (O(active)/slot) and \
-     Engine.run_reference (O(n)/slot) through Runner's Exact and Faulty specs.@."
-    oracle_seeds oracle_seeds
+     the fault-injection path (all-zero rates, monitor attached).@." zero_seeds zero_seeds
 
 let experiment =
   {

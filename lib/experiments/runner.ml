@@ -340,7 +340,11 @@ let setup_of_json j =
   | Some n, Some eps, Some window, Some max_slots -> Ok { n; eps; window; max_slots }
   | _ -> Error "setup: missing or ill-typed field"
 
-let sample_of_json j =
+(* The part of a stored sample both sample kinds share: the names,
+   the setup, the per-run results (decoded in order by [result_of_json])
+   and the check that [reps] agrees with them.  [what] names the record
+   in error messages. *)
+let decode_sample ~what ~result_of_json j =
   let str k = Option.bind (Json.member k j) Json.to_string_opt in
   match
     ( str "protocol",
@@ -355,7 +359,7 @@ let sample_of_json j =
           let rec decode acc = function
             | [] -> Ok (List.rev acc)
             | r :: tl -> (
-                match Metrics.result_of_json r with
+                match result_of_json r with
                 | Ok r -> decode (r :: acc) tl
                 | Error _ as e -> e)
           in
@@ -365,9 +369,15 @@ let sample_of_json j =
               let results = Array.of_list results in
               match Option.bind (Json.member "reps" j) Json.to_int_opt with
               | Some reps when reps <> Array.length results ->
-                  Error "sample: reps disagrees with the results array"
-              | Some _ | None -> Ok { setup; protocol_name; adversary_name; results })))
-  | _ -> Error "sample: missing protocol/adversary/setup/results"
+                  Error (what ^ ": reps disagrees with the results array")
+              | Some _ | None -> Ok (protocol_name, adversary_name, setup, results))))
+  | _ -> Error (what ^ ": missing protocol/adversary/setup/results")
+
+let sample_of_json j =
+  Result.map
+    (fun (protocol_name, adversary_name, setup, results) ->
+      { setup; protocol_name; adversary_name; results })
+    (decode_sample ~what:"sample" ~result_of_json:Metrics.result_of_json j)
 
 (* --- the content-addressed run store (DESIGN.md §11) --- *)
 
@@ -384,8 +394,26 @@ let faults_descriptor (f : Faults.Config.t) =
     f.Faults.Config.sleep_horizon f.Faults.Config.max_sleep f.Faults.Config.p_late_wake
     f.Faults.Config.max_wake_delay
 
-let cell_key ?(energy = false) ~engine ~(adversary : Specs.adversary) ~reps ~base_seed
-    setup =
+(* The key fields every cell shares, static or churning: what runs,
+   against whom, on which setup and seeds. *)
+let key_fields ~engine ~cd ~(adversary : Specs.adversary) ~reps ~base_seed setup =
+  [
+    ("protocol", Key.S (engine_name engine));
+    ("cd", Key.S (Channel.cd_model_to_string cd));
+    ("adversary", Key.S adversary.Specs.a_name);
+    ("n", Key.I setup.n);
+    ("eps", Key.F setup.eps);
+    ("window", Key.I setup.window);
+    ("max_slots", Key.I setup.max_slots);
+    ("reps", Key.I reps);
+    ("base_seed", Key.I base_seed);
+  ]
+
+let faults_field = function
+  | Faulty { faults; _ } -> [ ("faults", Key.S (faults_descriptor faults)) ]
+  | Uniform _ | Exact _ | Aggregate _ | Pooled _ -> []
+
+let cell_key ?(energy = false) ~engine ~adversary ~reps ~base_seed setup =
   let kind, cd =
     match engine with
     | Uniform _ -> ("uniform", Channel.Strong_cd)
@@ -397,25 +425,11 @@ let cell_key ?(energy = false) ~engine ~(adversary : Specs.adversary) ~reps ~bas
     | Pooled { cd; _ } -> ("exact", cd)
   in
   Key.v
-    ([
-       ("kind", Key.S kind);
-       ("protocol", Key.S (engine_name engine));
-       ("cd", Key.S (Channel.cd_model_to_string cd));
-       ("adversary", Key.S adversary.Specs.a_name);
-       ("n", Key.I setup.n);
-       ("eps", Key.F setup.eps);
-       ("window", Key.I setup.window);
-       ("max_slots", Key.I setup.max_slots);
-       ("reps", Key.I reps);
-       ("base_seed", Key.I base_seed);
-     ]
+    ((("kind", Key.S kind) :: key_fields ~engine ~cd ~adversary ~reps ~base_seed setup)
     (* Appended only when metering is on, so every pre-energy cache
        entry keeps its address byte-for-byte. *)
     @ (if energy then [ ("energy", Key.B true) ] else [])
-    @
-    match engine with
-    | Faulty { faults; _ } -> [ ("faults", Key.S (faults_descriptor faults)) ]
-    | Uniform _ | Exact _ | Aggregate _ | Pooled _ -> [])
+    @ faults_field engine)
 
 (* Process-default store, same pattern as [default_telemetry]: the
    CLIs install one under --cache and experiment code stays oblivious. *)
@@ -430,28 +444,42 @@ let with_store st f =
 
 (* --- churn cells: dynamic populations (DESIGN.md §12) --- *)
 
-(* Under churn every engine kind runs through the exact engine (the
-   O(1)-per-slot uniform path cannot represent a population that changes
-   mid-run), so a [Uniform] spec is adapted per station. *)
-let churn_engine_parts ~setup engine =
-  match engine with
+(* Under churn every engine kind runs through the exact engine's
+   dynamic driver, which composes per-station factories (the
+   O(1)-per-slot uniform path cannot represent a population that
+   changes mid-run, so a [Uniform] spec is adapted per station).  This
+   is the one check that rejects the engines churn cannot run: class
+   counts cannot express per-station lifecycle events, and a pool's
+   population is fixed at creation (churned weak-CD populations run
+   the bit-identical station path instead).  [where] prefixes the
+   error. *)
+type churn_parts = {
+  kind : string;  (* the store key's engine kind *)
+  cd : Channel.cd_model;
+  station : setup -> Jamming_station.Station.factory;
+  faults : Faults.Config.t;
+  monitor_checks : Monitor.checks option;
+}
+
+let churn_parts ~where = function
   | Uniform p ->
-      ( Channel.Strong_cd,
-        Jamming_station.Uniform.distributed
-          (p.Specs.p_make ~n:setup.n ~window:setup.window),
-        Faults.Config.none,
-        None )
-  | Exact { cd; factory; _ } -> (cd, factory, Faults.Config.none, None)
+      {
+        kind = "uniform";
+        cd = Channel.Strong_cd;
+        station =
+          (fun setup ->
+            Jamming_station.Uniform.distributed
+              (p.Specs.p_make ~n:setup.n ~window:setup.window));
+        faults = Faults.Config.none;
+        monitor_checks = None;
+      }
+  | Exact { cd; factory; _ } ->
+      { kind = "exact"; cd; station = (fun _ -> factory); faults = Faults.Config.none;
+        monitor_checks = None }
   | Faulty { cd; factory; faults; monitor_checks; _ } ->
-      (cd, factory, faults, monitor_checks)
-  | Aggregate _ ->
-      (* Class counts cannot express per-station lifecycle events, and
-         nothing keeps a churned population in lockstep phases. *)
-      invalid_arg "Runner: the aggregate engine does not support churn"
-  | Pooled _ ->
-      (* The dynamic driver composes per-station factories; re-run the
-         closure engine (bit-identical) for churned weak-CD populations. *)
-      invalid_arg "Runner: the pooled engine does not support churn"
+      { kind = "faulty"; cd; station = (fun _ -> factory); faults; monitor_checks }
+  | Aggregate _ -> invalid_arg (where ^ ": the aggregate engine does not support churn")
+  | Pooled _ -> invalid_arg (where ^ ": the pooled engine does not support churn")
 
 let run_churn ?(observers = []) ~engine ~churn ?restart_after setup adversary ~seed =
   validate setup;
@@ -464,7 +492,10 @@ let run_churn ?(observers = []) ~engine ~churn ?restart_after setup adversary ~s
        is created and the underlying engine runs completely unchanged. *)
     Dynamic.of_static (run ~observers ~engine setup adversary ~seed)
   else begin
-    let cd, factory, faults_cfg, monitor_checks = churn_engine_parts ~setup engine in
+    let { cd; station; faults = faults_cfg; monitor_checks; kind = _ } =
+      churn_parts ~where:"Runner" engine
+    in
+    let factory = station setup in
     Faults.Config.validate faults_cfg;
     let budget = Budget.create ~window:setup.window ~eps:setup.eps in
     (* Stream layout mirrors the Faulty engine exactly — station root,
@@ -552,69 +583,26 @@ let churn_sample_to_json ?(include_results = false) cs =
     else [])
 
 let churn_sample_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_string_opt in
-  match
-    ( str "protocol",
-      str "adversary",
-      str "churn",
-      Json.member "setup" j,
-      Option.bind (Json.member "results" j) Json.to_list_opt )
-  with
-  | Some c_protocol_name, Some c_adversary_name, Some c_churn, Some setup_json, Some rs
-    -> (
-      match setup_of_json setup_json with
-      | Error _ as e -> e
-      | Ok c_setup -> (
-          let rec decode acc = function
-            | [] -> Ok (List.rev acc)
-            | r :: tl -> (
-                match Dynamic.result_of_json r with
-                | Ok r -> decode (r :: acc) tl
-                | Error _ as e -> e)
-          in
-          match decode [] rs with
-          | Error _ as e -> e
-          | Ok results -> (
-              let c_results = Array.of_list results in
-              match Option.bind (Json.member "reps" j) Json.to_int_opt with
-              | Some reps when reps <> Array.length c_results ->
-                  Error "churn sample: reps disagrees with the results array"
-              | Some _ | None ->
-                  Ok { c_setup; c_protocol_name; c_adversary_name; c_churn; c_results })))
-  | _ -> Error "churn sample: missing protocol/adversary/churn/setup/results"
+  match Option.bind (Json.member "churn" j) Json.to_string_opt with
+  | None -> Error "churn sample: missing churn"
+  | Some c_churn ->
+      Result.map
+        (fun (c_protocol_name, c_adversary_name, c_setup, c_results) ->
+          { c_setup; c_protocol_name; c_adversary_name; c_churn; c_results })
+        (decode_sample ~what:"churn sample" ~result_of_json:Dynamic.result_of_json j)
 
-let churn_cell_key ~engine ~(adversary : Specs.adversary) ~churn ~restart_after ~reps
-    ~base_seed setup =
-  let engine_kind, cd =
-    match engine with
-    | Uniform _ -> ("uniform", Channel.Strong_cd)
-    | Exact { cd; _ } -> ("exact", cd)
-    | Faulty { cd; _ } -> ("faulty", cd)
-    | Aggregate _ -> invalid_arg "Runner: the aggregate engine does not support churn"
-    | Pooled _ -> invalid_arg "Runner: the pooled engine does not support churn"
-  in
+let churn_cell_key ~engine ~adversary ~churn ~restart_after ~reps ~base_seed setup =
+  let { kind; cd; _ } = churn_parts ~where:"Runner" engine in
   Key.v
-    ([
-       ("kind", Key.S "churn");
-       ("engine", Key.S engine_kind);
-       ("protocol", Key.S (engine_name engine));
-       ("cd", Key.S (Channel.cd_model_to_string cd));
-       ("adversary", Key.S adversary.Specs.a_name);
-       ("n", Key.I setup.n);
-       ("eps", Key.F setup.eps);
-       ("window", Key.I setup.window);
-       ("max_slots", Key.I setup.max_slots);
-       ("reps", Key.I reps);
-       ("base_seed", Key.I base_seed);
-       ("churn", Key.S (Faults.Churn.descriptor churn));
-       (* [restart_after] is validated >= 1, so 0 injectively encodes
-          "no restart deadline". *)
-       ("restart_after", Key.I (Option.value restart_after ~default:0));
-     ]
-    @
-    match engine with
-    | Faulty { faults; _ } -> [ ("faults", Key.S (faults_descriptor faults)) ]
-    | Uniform _ | Exact _ | Aggregate _ | Pooled _ -> [])
+    ([ ("kind", Key.S "churn"); ("engine", Key.S kind) ]
+    @ key_fields ~engine ~cd ~adversary ~reps ~base_seed setup
+    @ [
+        ("churn", Key.S (Faults.Churn.descriptor churn));
+        (* [restart_after] is validated >= 1, so 0 injectively encodes
+           "no restart deadline". *)
+        ("restart_after", Key.I (Option.value restart_after ~default:0));
+      ]
+    @ faults_field engine)
 
 let record_churn_sample tel (results : Dynamic.result array) =
   let c name = Telemetry.counter tel ("runner.churn." ^ name) in
@@ -664,12 +652,7 @@ module Cell = struct
           (* Segments cannot attribute awake slots across incarnations
              of a station id, so a churn-run energy block would lie. *)
           invalid_arg "Runner.Cell: energy accounting does not support churn";
-        (match c.engine with
-        | Aggregate _ ->
-            invalid_arg "Runner.Cell: the aggregate engine does not support churn"
-        | Pooled _ ->
-            invalid_arg "Runner.Cell: the pooled engine does not support churn"
-        | Uniform _ | Exact _ | Faulty _ -> ());
+        ignore (churn_parts ~where:"Runner.Cell" c.engine : churn_parts);
         Faults.Churn.validate churn;
         match restart_after with
         | Some r when r < 1 -> invalid_arg "Runner.Cell: restart_after must be >= 1"

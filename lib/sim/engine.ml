@@ -53,12 +53,6 @@ let finalize ~slot ~finished ~statuses ~tx_counts ~jammed_slots ~nulls ~singles
   Array.iter (fun o -> o.Observer.on_result result) obs;
   result
 
-let build_result ~slot ~finished ~stations ~tx_counts ~jammed_slots ~nulls ~singles
-    ~collisions ~energy obs =
-  let statuses = Array.map (fun s -> s.Station.status ()) stations in
-  finalize ~slot ~finished ~statuses ~tx_counts ~jammed_slots ~nulls ~singles
-    ~collisions ~energy obs
-
 let check_meter ?meter ~n where =
   match meter with
   | Some m when Energy.Meter.n m <> n ->
@@ -90,7 +84,7 @@ let run ?(start_slot = 0) ?faults ?meter ?monitor ?(observers = []) ~cd ~adversa
      order-preserving (never swap-remove): [Injection.sense] draws
      sensing noise from one shared stream in station order, so the
      sequence of draws — hence every fault-injected run — must match
-     [run_reference] bit for bit. *)
+     the test suite's O(n) reference engine bit for bit. *)
   let active = Array.init n (fun i -> i) in
   let n_active = ref 0 in
   for i = 0 to n - 1 do
@@ -204,118 +198,10 @@ let run ?(start_slot = 0) ?faults ?meter ?monitor ?(observers = []) ~cd ~adversa
   let energy =
     match meter with Some m -> Some (Energy.Meter.summarize m ~slots:!slot) | None -> None
   in
-  build_result ~slot:!slot ~finished:(!n_active = 0) ~stations ~tx_counts
-    ~jammed_slots:!jammed_slots ~nulls:!nulls ~singles:!singles ~collisions:!collisions
-    ~energy obs
-
-(* The pre-active-set engine, kept verbatim as the differential-testing
-   oracle: every loop is a full O(n) scan and the leader count is a
-   fresh scan per slot.  [run] must stay bit-identical to this path. *)
-let run_reference ?(start_slot = 0) ?faults ?meter ?monitor ?(observers = []) ~cd
-    ~adversary ~budget ~max_slots ~stations () =
-  let n = Array.length stations in
-  check_meter ?meter ~n "Engine.run_reference";
-  let obs = assemble_observers ?monitor observers in
-  let observed = Array.length obs > 0 in
-  let needs_leaders = Array.exists (fun o -> o.Observer.needs_leaders) obs in
-  let actions = Array.make n Station.Listen in
-  let tx_counts = Array.make n 0 in
-  let jammed_slots = ref 0 in
-  let nulls = ref 0 and singles = ref 0 and collisions = ref 0 in
-  let all_finished () = Array.for_all (fun s -> s.Station.finished ()) stations in
-  let noise =
-    match faults with Some f when Injection.active f -> Some f | Some _ | None -> None
-  in
-  let wake_abs = Array.make n min_int in
-  (* Meter bookkeeping: note each station's termination once, at the
-     same relative slot the active-set engine's compaction would. *)
-  let noted = (match meter with Some _ -> Array.make n false | None -> [||]) in
-  let note_done_from rel =
-    match meter with
-    | Some m ->
-        for i = 0 to n - 1 do
-          if (not noted.(i)) && stations.(i).Station.finished () then begin
-            noted.(i) <- true;
-            Energy.Meter.note_finish m i ~from:rel
-          end
-        done
-    | None -> ()
-  in
-  let slot = ref 0 in
-  let finished = ref (all_finished ()) in
-  note_done_from 0;
-  while (not !finished) && !slot < max_slots do
-    let t = start_slot + !slot in
-    let can_jam = Budget.can_jam budget in
-    let jam = can_jam && adversary.Adversary.wants_jam ~slot:t ~can_jam in
-    Budget.advance budget ~jam;
-    let transmitters = ref 0 in
-    for i = 0 to n - 1 do
-      if stations.(i).Station.finished () || wake_abs.(i) > t then
-        actions.(i) <- Station.Listen
-      else
-        match stations.(i).Station.decide ~slot:t with
-        | Station.Transmit ->
-            actions.(i) <- Station.Transmit;
-            incr transmitters;
-            tx_counts.(i) <- tx_counts.(i) + 1;
-            (match meter with Some m -> Energy.Meter.note_tx m i | None -> ())
-        | Station.Listen -> actions.(i) <- Station.Listen
-        | Station.Sleep until ->
-            if until <= t then
-              invalid_arg
-                "Engine.run_reference: Sleep must target a slot after the current one";
-            wake_abs.(i) <- until;
-            actions.(i) <- Station.Listen;
-            (match meter with
-            | Some m ->
-                Energy.Meter.note_sleep m i ~from:!slot ~until:(until - start_slot)
-            | None -> ())
-    done;
-    let state = Channel.resolve ~transmitters:!transmitters ~jammed:jam in
-    if jam then incr jammed_slots;
-    (match state with
-    | Channel.Null -> incr nulls
-    | Channel.Single -> incr singles
-    | Channel.Collision -> incr collisions);
-    for i = 0 to n - 1 do
-      if wake_abs.(i) <= t && not (stations.(i).Station.finished ()) then begin
-        let transmitted = Station.equal_action actions.(i) Station.Transmit in
-        let sensed =
-          match noise with None -> state | Some inj -> Injection.sense inj state
-        in
-        let perceived = Channel.perceive cd sensed ~transmitted in
-        stations.(i).Station.observe ~slot:t ~perceived ~transmitted
-      end
-    done;
-    note_done_from (!slot + 1);
-    adversary.Adversary.notify ~slot:t ~jammed:jam ~state;
-    if observed then begin
-      let record =
-        { Metrics.slot = t; transmitters = Metrics.Exact !transmitters; jammed = jam; state }
-      in
-      let leaders =
-        if not needs_leaders then -1
-        else begin
-          let count = ref 0 in
-          Array.iter
-            (fun s ->
-              if Station.equal_status (s.Station.status ()) Station.Leader then incr count)
-            stations;
-          !count
-        end
-      in
-      Array.iter (fun o -> o.Observer.on_slot record ~leaders) obs
-    end;
-    incr slot;
-    finished := all_finished ()
-  done;
-  let energy =
-    match meter with Some m -> Some (Energy.Meter.summarize m ~slots:!slot) | None -> None
-  in
-  build_result ~slot:!slot ~finished:!finished ~stations ~tx_counts
-    ~jammed_slots:!jammed_slots ~nulls:!nulls ~singles:!singles ~collisions:!collisions
-    ~energy obs
+  finalize ~slot:!slot ~finished:(!n_active = 0)
+    ~statuses:(Array.map (fun s -> s.Station.status ()) stations)
+    ~tx_counts ~jammed_slots:!jammed_slots ~nulls:!nulls ~singles:!singles
+    ~collisions:!collisions ~energy obs
 
 (* Vectorized engine over a {!Station.pool}.  Protocol state lives in
    flat arrays inside the pool; per slot the engine makes two batch

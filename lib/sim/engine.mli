@@ -13,9 +13,12 @@
     repository satisfies: a station's [finished] is {e monotone} (once
     [true] it stays [true]) and neither [finished] nor [status] changes
     spontaneously — only a [decide] or [observe] call on that station
-    may change them.  A station violating this could diverge from
-    {!run_reference}; the equivalence tests in [test_sim.ml] guard the
-    contract for the shipped protocols. *)
+    may change them.  A station violating this could diverge from the
+    plain O(n)-per-slot engine.  That engine lives in the test suite
+    ([test/reference_engine.ml]) as the differential oracle, and
+    [test_sim.ml] asserts {!run} bit-identical to it — results, slot
+    records, leader counts and sensing-noise draws — for the shipped
+    protocols under faults, observers and a monitor. *)
 
 val run :
   ?start_slot:int ->
@@ -75,27 +78,6 @@ val run :
     The result reports [leader = Some _] exactly when [elected]: a run
     cut off at [max_slots] reports no leader even if one station stands
     in status [Leader] at the cut-off (its election never completed). *)
-
-val run_reference :
-  ?start_slot:int ->
-  ?faults:Jamming_faults.Injection.t ->
-  ?meter:Jamming_energy.Energy.Meter.t ->
-  ?monitor:Monitor.t ->
-  ?observers:Observer.t list ->
-  cd:Jamming_channel.Channel.cd_model ->
-  adversary:Jamming_adversary.Adversary.t ->
-  budget:Jamming_adversary.Budget.t ->
-  max_slots:int ->
-  stations:Jamming_station.Station.t array ->
-  unit ->
-  Metrics.result
-(** The pre-active-set engine: three full O(n) scans per slot and a
-    fresh O(n) leader scan whenever an observer asks for leader counts.
-    Kept {e only} as the differential-testing oracle — {!run} must stay
-    bit-identical to it (same results, same slot records, same leader
-    counts, same noise draws under fault injection) for every seed.
-    Tests and experiment A1's oracle half use it; production call
-    sites must use {!run}. *)
 
 val run_pool :
   ?start_slot:int ->

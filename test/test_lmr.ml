@@ -72,11 +72,11 @@ let test_reference_engine_agrees () =
     let stations = Engine.make_stations ~n ~rng (Lmr.station ~n) in
     let budget = Budget.create ~window:32 ~eps:0.5 in
     let meter = Energy.Meter.create ~n in
-    let engine = if reference then Engine.run_reference else Engine.run in
+    let engine = if reference then Reference_engine.run else Engine.run ?start_slot:None in
     engine ~meter ~cd:Channel.Strong_cd ~adversary:(Adversary.greedy ()) ~budget
       ~max_slots:400_000 ~stations ()
   in
-  Alcotest.check result_testable "run = run_reference (sleeping stations)"
+  Alcotest.check result_testable "run = reference engine (sleeping stations)"
     (run_with ~reference:false)
     (run_with ~reference:true)
 

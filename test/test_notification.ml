@@ -62,20 +62,6 @@ let test_phase_order () =
     transitions;
   check_int "exactly one announcing leader" 1 !leader_count
 
-let test_sub_of_uniform_synchronization () =
-  (* sub_of_uniform drives a private logic copy; transmitting returns a
-     decision and observe feeds the copy.  Just exercise the plumbing. *)
-  let factory = Notification.sub_of_uniform (Jamming_core.Lesk.uniform ~eps:0.5) in
-  let sub = factory ~rng:(rng ()) in
-  let a = sub.Notification.sub_decide () in
-  check_true "decides an action"
-    (Station.equal_action a Station.Transmit || Station.equal_action a Station.Listen);
-  sub.Notification.sub_observe ~perceived:Channel.Collision ~transmitted:false;
-  sub.Notification.sub_observe ~perceived:Channel.Null ~transmitted:false;
-  let b = sub.Notification.sub_decide () in
-  check_true "still decides after observations"
-    (Station.equal_action b Station.Transmit || Station.equal_action b Station.Listen)
-
 let test_lewu_elects () =
   let result = run_exact ~cd:Channel.Weak_cd ~n:8 ~max_slots:2_000_000 (Lewu.station ()) in
   check_true "LEWU completes a weak-CD election" (Metrics.election_ok result)
@@ -160,25 +146,28 @@ let test_overhead_constant_factor () =
      practical constant bigger at tiny n, so the envelope is generous. *)
   check_true (Printf.sprintf "overhead %.1fx bounded" r) (r < 64.0)
 
-(* --- flat pool vs closure oracle ------------------------------------ *)
+(* --- station and pool vs the closure oracle --------------------------- *)
 
 module Observer = Jamming_sim.Observer
 module Config = Jamming_faults.Config
 module Fault_plan = Jamming_faults.Fault_plan
+module Injection = Jamming_faults.Injection
 module Lesk = Jamming_core.Lesk
 module Lesu = Jamming_core.Lesu
 module Aggregate = Jamming_sim.Aggregate
 
 type protocol = P_lewk | P_lewu
 
-(* One run through either path, everything rebuilt from the seed —
-   stations/pool, adversary, budget — with a needs_leaders observer
-   logging every slot record and the phase callback logging every
-   transition.  The pool must reproduce the closure path bit for bit:
-   same result, same slot records and leader counts, same (id, slot,
-   phase) transitions.  [plans] (lifecycle faults) are closure-only:
-   pools run fault-free. *)
-let identity_run ?plans which ~protocol ~seed ~n ~adversary ~max_slots =
+(* One run through the oracle ([Notification_oracle]), the derived
+   station or the pool, everything rebuilt from the seed — stations or
+   pool, adversary, budget, sensing noise — with a needs_leaders
+   observer logging every slot record and the phase callback logging
+   every transition.  Both derived forms must reproduce the oracle bit
+   for bit: same result, same slot records and leader counts, same
+   (id, slot, phase) transitions.  Pools run fault-free: [plans]
+   (lifecycle faults) and [noise] apply to the station forms only. *)
+let identity_run ?plans ?noise ?(cd = Channel.Weak_cd) which ~protocol ~seed ~n ~adversary
+    ~max_slots =
   let transitions = ref [] in
   let on_phase ~id ~slot ph = transitions := (id, slot, ph) :: !transitions in
   let log = ref [] in
@@ -195,50 +184,77 @@ let identity_run ?plans which ~protocol ~seed ~n ~adversary ~max_slots =
   let adversary = adversary () in
   let result =
     match which with
-    | `Closure ->
-        let factory =
+    | `Pool ->
+        let pool =
           match protocol with
-          | P_lewk -> Lewk.station ~on_phase ~eps:0.5 ()
-          | P_lewu -> Lewu.station ~on_phase ()
+          | P_lewk -> Lewk.pool ~on_phase ~eps:0.5 () ~n ~rng:g
+          | P_lewu -> Lewu.pool ~on_phase () ~n ~rng:g
+        in
+        Engine.run_pool ~observers:[ recording ] ~cd ~adversary ~budget ~max_slots ~pool ()
+    | (`Oracle | `Station) as which ->
+        let factory =
+          match (which, protocol) with
+          | `Oracle, P_lewk -> Notification_oracle.lewk ~on_phase ~eps:0.5 ()
+          | `Oracle, P_lewu -> Notification_oracle.lewu ~on_phase ()
+          | `Station, P_lewk -> Lewk.station ~on_phase ~eps:0.5 ()
+          | `Station, P_lewu -> Lewu.station ~on_phase ()
         in
         let stations = Engine.make_stations ~n ~rng:g factory in
         let stations =
           match plans with None -> stations | Some ps -> Config.wrap_stations ps stations
         in
-        Engine.run ~observers:[ recording ] ~cd:Channel.Weak_cd ~adversary ~budget
-          ~max_slots ~stations ()
-    | `Pool ->
-        let pf =
-          match protocol with
-          | P_lewk -> Lewk.pool ~on_phase ~eps:0.5 ()
-          | P_lewu -> Lewu.pool ~on_phase ()
+        let faults =
+          let rng = Prng.create ~seed:(seed lxor 0x85ebca6b) in
+          Option.map (fun noise -> Injection.create ~noise ~rng) noise
         in
-        let pool = pf ~n ~rng:g in
-        Engine.run_pool ~observers:[ recording ] ~cd:Channel.Weak_cd ~adversary ~budget
-          ~max_slots ~pool ()
+        Engine.run ?faults ~observers:[ recording ] ~cd ~adversary ~budget ~max_slots
+          ~stations ()
   in
   (result, List.rev !log, List.rev !transitions)
 
-let identity_holds ~protocol ~seed ~n ~adversary ~max_slots =
-  let a = identity_run `Closure ~protocol ~seed ~n ~adversary ~max_slots in
-  let b = identity_run `Pool ~protocol ~seed ~n ~adversary ~max_slots in
-  a = b
+let matches_oracle ?plans ?noise ?cd which ~protocol ~seed ~n ~adversary ~max_slots =
+  identity_run ?plans ?noise ?cd `Oracle ~protocol ~seed ~n ~adversary ~max_slots
+  = identity_run ?plans ?noise ?cd which ~protocol ~seed ~n ~adversary ~max_slots
 
-let prop_pool_matches_closure_lewk =
-  qtest ~count:40 "LEWK flat pool ≡ closure oracle (seeds × jamming × n)"
-    QCheck.(triple small_int (oneofl [ 1; 2; 17; 256 ]) bool)
-    (fun (seed, n, jam) ->
+(* Notification is only ever paired with weak or no CD; under strong CD
+   the derived forms part ways with the oracle by design (see
+   [Notification.station]). *)
+let cd_gen = QCheck.oneofl [ Channel.Weak_cd; Channel.No_cd ]
+
+let prop_pool_matches_oracle_lewk =
+  qtest ~count:40 "LEWK flat pool ≡ closure oracle (seeds × jamming × n × CD)"
+    QCheck.(quad small_int (oneofl [ 1; 2; 17; 48; 256 ]) bool cd_gen)
+    (fun (seed, n, jam, cd) ->
       let adversary = if jam then Adversary.greedy else Adversary.none in
       let max_slots = if n >= 256 then 4_000 else 20_000 in
-      identity_holds ~protocol:P_lewk ~seed ~n ~adversary ~max_slots)
+      matches_oracle ~cd `Pool ~protocol:P_lewk ~seed ~n ~adversary ~max_slots)
 
-let prop_pool_matches_closure_lewu =
+let prop_pool_matches_oracle_lewu =
   qtest ~count:12 "LEWU flat pool ≡ closure oracle"
-    QCheck.(pair small_int (oneofl [ 1; 2; 17 ]))
-    (fun (seed, n) ->
-      identity_holds ~protocol:P_lewu ~seed ~n ~adversary:Adversary.greedy ~max_slots:10_000)
+    QCheck.(triple small_int (oneofl [ 1; 2; 17 ]) cd_gen)
+    (fun (seed, n, cd) ->
+      matches_oracle ~cd `Pool ~protocol:P_lewu ~seed ~n ~adversary:Adversary.greedy
+        ~max_slots:10_000)
 
-(* The pools well past the populations the pool ≡ closure properties
+let prop_station_matches_oracle =
+  qtest ~count:60 "LEWK/LEWU station ≡ closure oracle (faults × noise × CD × n)"
+    QCheck.(
+      pair
+        (triple (oneofl [ P_lewk; P_lewu ]) small_int (oneofl [ 1; 2; 3; 9; 24 ]))
+        (quad bool bool cd_gen bool))
+    (fun ((protocol, seed, n), (faulty, noisy, cd, jam)) ->
+      let plans =
+        if not faulty then None
+        else
+          let rng = Prng.create ~seed:(seed lxor 0x9e3779b9) in
+          Some (Config.sample_plans heavy_faults ~rng ~n)
+      in
+      let noise = if noisy then Some heavy_faults.Config.perception else None in
+      let adversary = if jam then Adversary.greedy else Adversary.none in
+      matches_oracle ?plans ?noise ~cd `Station ~protocol ~seed ~n ~adversary
+        ~max_slots:10_000)
+
+(* The pools well past the populations the pool ≡ oracle properties
    reach: under the greedy jammer every rep elects within the slot cap. *)
 let test_pools_elect_at_scale () =
   let module E = Jamming_experiments in
@@ -256,7 +272,7 @@ let test_staggered_join_sits_out () =
   (* Station 0 wakes at slot 4.  Slot 3 opened C1 of generation 1, so it
      joins that interval at offset ≠ 0 and must sit it out — no sub
      instance, no stream split, no draws — until a fresh interval
-     starts.  The run must still elect. *)
+     starts.  The run must still elect, exactly as the oracle does. *)
   let plans =
     Array.init 6 (fun i ->
         if i = 0 then { Fault_plan.none with Fault_plan.wake_slot = 4 }
@@ -264,10 +280,12 @@ let test_staggered_join_sits_out () =
   in
   List.iter
     (fun seed ->
-      let r, _, transitions =
-        identity_run ~plans `Closure ~protocol:P_lewk ~seed ~n:6 ~adversary:Adversary.none
+      let run which =
+        identity_run ~plans which ~protocol:P_lewk ~seed ~n:6 ~adversary:Adversary.none
           ~max_slots:50_000
       in
+      let ((r, _, transitions) as derived) = run `Station in
+      check_true "staggered join: station ≡ oracle" (derived = run `Oracle);
       check_true "staggered join: still elects" (Metrics.election_ok r);
       (* The latecomer's first transition happens after it re-joined on a
          fresh interval boundary (generation 2 starts at slot 9). *)
@@ -326,7 +344,6 @@ let suite =
     ("all adversaries", `Slow, test_under_all_adversaries);
     ("one leader across 40 seeds", `Slow, test_many_seeds_always_one_leader);
     ("phase machine follows Function 4", `Quick, test_phase_order);
-    ("sub_of_uniform plumbing", `Quick, test_sub_of_uniform_synchronization);
     ("LEWU end-to-end", `Slow, test_lewu_elects);
     ("LEWU phase callback", `Slow, test_lewu_phase_callback);
     ("LEWK under heavy jamming", `Slow, test_lewk_under_jamming_heavier);
@@ -334,8 +351,9 @@ let suite =
     ("no-CD never completes (open problem)", `Quick, test_no_cd_never_completes);
     prop_random_configs_elect_one_leader;
     ("constant-factor overhead", `Slow, test_overhead_constant_factor);
-    prop_pool_matches_closure_lewk;
-    prop_pool_matches_closure_lewu;
+    prop_pool_matches_oracle_lewk;
+    prop_pool_matches_oracle_lewu;
+    prop_station_matches_oracle;
     ("staggered generation join sits out", `Quick, test_staggered_join_sits_out);
     ("pools elect at n=10^3..10^4 under greedy", `Quick, test_pools_elect_at_scale);
     prop_lesk_flat_matches_logic;

@@ -141,7 +141,6 @@ let test_election_ok () =
 
 module Observer = Jamming_sim.Observer
 module Config = Jamming_faults.Config
-module Perception = Jamming_faults.Perception
 module Injection = Jamming_faults.Injection
 
 let test_timeout_with_standing_leader () =
@@ -161,7 +160,7 @@ let test_timeout_with_standing_leader () =
     Engine.run ~cd ~adversary ~budget ~max_slots ~stations ()
   in
   let oracle ~cd ~adversary ~budget ~max_slots ~stations () =
-    Engine.run_reference ~cd ~adversary ~budget ~max_slots ~stations ()
+    Reference_engine.run ~cd ~adversary ~budget ~max_slots ~stations ()
   in
   let go run =
     let stations = Engine.make_stations ~n:3 ~rng:(rng ()) factory in
@@ -182,14 +181,16 @@ let test_timeout_with_standing_leader () =
 (* One run through either engine entry point, everything rebuilt from
    the seed: stations, adversary, budget, fault plans and sensing noise
    (mirroring Runner's dedicated fault streams), plus a needs_leaders
-   observer logging every slot record and leader count. *)
-let run_active ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
-  Engine.run ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations ()
+   observer logging every slot record and leader count, and optionally
+   the online monitor (safety checks, which hold under faults). *)
+let run_active ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
+  Engine.run ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots ~stations ()
 
-let run_oracle ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
-  Engine.run_reference ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations ()
+let run_oracle ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
+  Reference_engine.run ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots
+    ~stations ()
 
-let equivalence_run engine_run ~seed ~n ~faulty factory =
+let equivalence_run ?(monitored = false) engine_run ~seed ~n ~faulty factory =
   let log = ref [] in
   let recording =
     Observer.make ~name:"rec" ~needs_leaders:true
@@ -204,31 +205,26 @@ let equivalence_run engine_run ~seed ~n ~faulty factory =
   let stations, faults =
     if not faulty then (stations, None)
     else begin
-      let cfg =
-        {
-          Config.perception = Perception.uniform ~p:0.2;
-          p_crash = 0.3;
-          crash_horizon = 500;
-          p_sleep = 0.3;
-          sleep_horizon = 200;
-          max_sleep = 40;
-          p_late_wake = 0.3;
-          max_wake_delay = 10;
-        }
-      in
       let plans =
-        Config.sample_plans cfg ~rng:(Prng.create ~seed:(seed lxor 0x9e3779b9)) ~n
+        Config.sample_plans heavy_faults ~rng:(Prng.create ~seed:(seed lxor 0x9e3779b9)) ~n
       in
       let injection =
-        Injection.create ~noise:cfg.Config.perception
+        Injection.create ~noise:heavy_faults.Config.perception
           ~rng:(Prng.create ~seed:(seed lxor 0x85ebca6b))
       in
       (Config.wrap_stations plans stations, Some injection)
     end
   in
   let budget = Budget.create ~window:16 ~eps:0.5 in
+  let monitor =
+    if monitored then
+      Some
+        (Jamming_sim.Monitor.create ~checks:Jamming_sim.Monitor.safety_checks ~seed ~window:16
+           ~eps:0.5 ())
+    else None
+  in
   let result =
-    engine_run ?faults ~observers:[ recording ] ~cd:Channel.Strong_cd
+    engine_run ?faults ?monitor ~observers:[ recording ] ~cd:Channel.Strong_cd
       ~adversary:(Adversary.greedy ()) ~budget ~max_slots:50_000 ~stations ()
   in
   (result, List.rev !log)
@@ -236,14 +232,11 @@ let equivalence_run engine_run ~seed ~n ~faulty factory =
 let prop_active_set_matches_reference =
   qtest ~count:40
     "active-set engine bit-identical to reference (faults, observers, leader counts)"
-    QCheck.(triple (int_range 2 40) small_int bool)
-    (fun (n, seed, faulty) ->
-      let r, log =
-        equivalence_run run_active ~seed ~n ~faulty (Jamming_core.Lesk.station ~eps:0.5)
-      in
-      let r', log' =
-        equivalence_run run_oracle ~seed ~n ~faulty (Jamming_core.Lesk.station ~eps:0.5)
-      in
+    QCheck.(quad (int_range 2 40) small_int bool bool)
+    (fun (n, seed, faulty, monitored) ->
+      let factory = Jamming_core.Lesk.station ~eps:0.5 in
+      let r, log = equivalence_run ~monitored run_active ~seed ~n ~faulty factory in
+      let r', log' = equivalence_run ~monitored run_oracle ~seed ~n ~faulty factory in
       Metrics.equal_result r r' && log = log')
 
 let test_active_set_matches_reference_staggered () =

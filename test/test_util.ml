@@ -64,3 +64,18 @@ let run_exact ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 400_000)
   let stations = Engine.make_stations ~n ~rng factory in
   let budget = Budget.create ~window ~eps in
   Engine.run ~cd ~adversary:(adversary ()) ~budget ~max_slots ~stations ()
+
+(* Lifecycle faults at rates high enough that most runs see a crash, a
+   sleep and a late wake-up, plus 20% sensing noise: the differential
+   tests' fault load. *)
+let heavy_faults =
+  {
+    Jamming_faults.Config.perception = Jamming_faults.Perception.uniform ~p:0.2;
+    p_crash = 0.3;
+    crash_horizon = 500;
+    p_sleep = 0.3;
+    sleep_horizon = 200;
+    max_sleep = 40;
+    p_late_wake = 0.3;
+    max_wake_delay = 10;
+  }

@@ -155,7 +155,9 @@ let run protocol_name adversary_name n eps window max_slots seed reps jobs engin
         adversary.E.Specs.a_name E.Runner.pp_setup setup reps;
       (* --engine: which simulation core executes the slots.
            auto      — uniform (trichotomy sampling), or the flat-pool
-                       notification engine when --weak-cd is given;
+                       notification engine when --weak-cd is given
+                       (its per-station form, as exact below, when
+                       --churn or --restart-after is also given);
            uniform   — force the trichotomy-sampling engine;
            exact     — force the per-station O(n)/slot engine (behind
                        --weak-cd: Notification's one-station form of
@@ -182,12 +184,24 @@ let run protocol_name adversary_name n eps window max_slots seed reps jobs engin
         E.Runner.Exact
           { name = weak_name; cd = Jamming_channel.Channel.Weak_cd; factory }
       in
+      let parsed_churn = parse_churn churn_spec in
+      let churned =
+        match parsed_churn with
+        | Ok churn -> (not (Churn.is_null churn)) || restart_after <> None
+        | Error _ -> false
+      in
       let choose_engine () =
         match engine_name with
-        | "auto" -> Ok (if weak_cd then weak_engine () else E.Runner.Uniform protocol)
+        | "auto" ->
+            Ok
+              (if not weak_cd then E.Runner.Uniform protocol
+               else if churned then weak_station_engine ()
+               else weak_engine ())
         | "uniform" ->
             if weak_cd then
-              Error "--engine uniform conflicts with --weak-cd (Notification runs on the exact engine)"
+              Error
+                "--engine uniform conflicts with --weak-cd (Notification runs on the pooled \
+                 or exact engine)"
             else Ok (E.Runner.Uniform protocol)
         | "exact" -> (
             if weak_cd then Ok (weak_station_engine ())
@@ -228,9 +242,9 @@ let run protocol_name adversary_name n eps window max_slots seed reps jobs engin
       if weak_cd && protocol_name <> "lesk" && protocol_name <> "lesu" then
         fail "--weak-cd supports lesk (as LEWK) and lesu (as LEWU) only"
       else begin
-        match parse_churn churn_spec, choose_engine () with
+        match parsed_churn, choose_engine () with
         | Error e, _ | _, Error e -> fail "%s" e
-        | Ok churn, Ok engine when (not (Churn.is_null churn)) || restart_after <> None -> (
+        | Ok churn, Ok engine when churned -> (
             (* Dynamic population: chained self-healing elections. *)
             if engine_name = "aggregate" then
               fail
@@ -342,14 +356,19 @@ let cmd =
       & opt string "auto"
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Simulation engine: $(b,auto) (uniform, or exact behind --weak-cd), \
+            "Simulation engine: $(b,auto) (uniform; behind --weak-cd the pooled \
+             Notification engine, or its bit-identical per-station form under \
+             --churn or --restart-after), \
              $(b,uniform), $(b,exact), $(b,aggregate) — the class-population \
              counting engine (lesk/lesu, strong-CD) that scales to n = 1e9 — or \
              $(b,lmr), which swaps in the known-n LMR election with \
              log-logarithmic awake time (strong-CD; pairs with $(b,--energy)).")
   in
   let weak_cd =
-    Arg.(value & flag & info [ "weak-cd" ] ~doc:"Run in weak-CD via Notification (exact engine).")
+    Arg.(
+      value & flag
+      & info [ "weak-cd" ]
+          ~doc:"Run in weak-CD via Notification (pooled engine unless --engine says otherwise).")
   in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every run.") in
   let trace =

@@ -1,56 +1,35 @@
 module Channel = Jamming_channel.Channel
 module Uniform = Jamming_station.Uniform
 
-module Logic = struct
-  type t = {
-    threshold : int;
-    mutable round : int;
-    mutable slots_left : int;  (* slots remaining in the current round *)
-    mutable nulls : int;  (* Nulls seen in the current round *)
-    mutable finished : int option;
-    mutable singled : bool;
-  }
+type state = { round : int; slots_left : int; nulls : int }
+type outcome = Running of state | Returned of int | Singled
 
-  let create ~threshold =
-    if threshold < 1 then invalid_arg "Estimation.Logic.create: threshold must be >= 1";
-    { threshold; round = 1; slots_left = 2; nulls = 0; finished = None; singled = false }
+let init = { round = 1; slots_left = 2; nulls = 0 }
 
-  let round t = t.round
+(* 2^-2^round; for round >= 10 this underflows towards 0 harmlessly. *)
+let tx_prob { round; _ } = Float.exp2 (-.Float.exp2 (float_of_int round))
 
-  let tx_prob t =
-    (* 2^-2^round; for round >= 10 this underflows towards 0 harmlessly. *)
-    Float.exp2 (-.Float.exp2 (float_of_int t.round))
+let step ~threshold { round; slots_left; nulls } = function
+  | Channel.Single -> Singled
+  | (Channel.Null | Channel.Collision) as channel ->
+      let nulls = if channel = Channel.Null then nulls + 1 else nulls in
+      let slots_left = slots_left - 1 in
+      if slots_left > 0 then Running { round; slots_left; nulls }
+      else if nulls >= threshold then Returned round
+      else Running { round = round + 1; slots_left = 1 lsl (round + 1); nulls = 0 }
 
-  let finished t = t.finished
-  let singled t = t.singled
-
-  let on_state t state =
-    if t.finished = None && not t.singled then begin
-      (match state with
-      | Channel.Single -> t.singled <- true
-      | Channel.Null -> t.nulls <- t.nulls + 1
-      | Channel.Collision -> ());
-      if not t.singled then begin
-        t.slots_left <- t.slots_left - 1;
-        if t.slots_left = 0 then
-          if t.nulls >= t.threshold then t.finished <- Some t.round
-          else begin
-            t.round <- t.round + 1;
-            t.slots_left <- 1 lsl t.round;
-            t.nulls <- 0
-          end
-      end
-    end
-end
-
-let uniform ?(threshold = 2) () () =
-  let logic = Logic.create ~threshold in
-  {
-    Uniform.name = Printf.sprintf "Estimation(L=%d)" threshold;
-    tx_prob =
-      (fun () -> match Logic.finished logic with Some _ -> 0.0 | None -> Logic.tx_prob logic);
-    on_state =
-      (fun state ->
-        Logic.on_state logic state;
-        if Logic.singled logic then Uniform.Elected else Uniform.Continue);
-  }
+let uniform ?(threshold = 2) () =
+  if threshold < 1 then invalid_arg "Estimation.uniform: threshold must be >= 1";
+  fun () ->
+    let state = ref (Running init) in
+    {
+      Uniform.name = Printf.sprintf "Estimation(L=%d)" threshold;
+      tx_prob =
+        (fun () -> match !state with Running s -> tx_prob s | Returned _ | Singled -> 0.0);
+      on_state =
+        (fun channel ->
+          (match !state with
+          | Running s -> state := step ~threshold s channel
+          | Returned _ | Singled -> ());
+          match !state with Singled -> Uniform.Elected | Running _ | Returned _ -> Uniform.Continue);
+    }

@@ -13,28 +13,32 @@
     adversary cannot jam it all, and with [p ≤ 1/n²] the exposed slots
     are [Null] w.h.p. *)
 
-module Logic : sig
-  type t
+type state = {
+  round : int;  (** current round, from 1 *)
+  slots_left : int;  (** slots remaining in it *)
+  nulls : int;  (** [Null]s seen in it *)
+}
+(** Function 2's progress, as a pure value. *)
 
-  val create : threshold:int -> t
-  (** [threshold] is the paper's [L]; the paper uses [L = 2]. *)
+type outcome =
+  | Running of state
+  | Returned of int  (** a round accumulated [threshold] [Null]s *)
+  | Singled  (** a [Single] occurred: a leader was elected on the spot *)
 
-  val round : t -> int
-  (** Current round index (≥ 1). *)
+val init : state
+(** Round 1, with its 2 slots ahead. *)
 
-  val tx_prob : t -> float
-  (** [2^−2^round]. *)
+val tx_prob : state -> float
+(** [2^−2^round]. *)
 
-  val finished : t -> int option
-  (** [Some r] once a round has accumulated [threshold] Nulls. *)
-
-  val singled : t -> bool
-  (** Whether a [Single] occurred (leader elected during estimation). *)
-
-  val on_state : t -> Jamming_channel.Channel.state -> unit
-end
+val step : threshold:int -> state -> Jamming_channel.Channel.state -> outcome
+(** Function 2's transition on one channel state — the single place it
+    is written ({!Lesu.protocol}, {!uniform} and [Size_approx.run] step
+    it).  [threshold] is the paper's [L] (the paper uses [L = 2]); the
+    callers check that it is at least 1. *)
 
 val uniform : ?threshold:int -> unit -> Jamming_station.Uniform.factory
-(** Estimation as a uniform protocol: reports [Elected] on [Single];
-    after returning a round it keeps probability 0 (the caller is
-    expected to stop it — used standalone only in tests/experiments). *)
+(** Estimation as a uniform protocol, stepping {!step} from {!init}:
+    reports [Elected] on [Single]; after returning a round it keeps
+    probability 0 (the caller is expected to stop it — used standalone
+    only in tests/experiments).  Requires [threshold >= 1]. *)

@@ -17,9 +17,9 @@ let step_denominator ~where ?a ~eps () =
 let tx_prob u = Float.exp2 (-.u)
 
 (* Every other LESK form (the [Logic] machine, the uniform driver, the
-   closure stations, the aggregate description, LESU's ladder) steps
-   through this one function, so their [u] trajectories agree bit for
-   bit. *)
+   closure stations, Notification's machine, the aggregate description,
+   LESU's ladder) steps through this one function, so their [u]
+   trajectories agree bit for bit. *)
 let step ~a u = function
   | Channel.Null -> Aggregate.Continue (Float.max (u -. 1.0) 0.0)
   | Channel.Collision -> Aggregate.Continue (u +. (1.0 /. a))
@@ -58,63 +58,6 @@ end
 let uniform ?a ~eps () = Aggregate.to_uniform (protocol ?a ~eps ()) ()
 let station ~eps = Uniform.distributed (Aggregate.to_uniform (protocol ~eps ()))
 let aggregate ?a ~eps () = Aggregate.Packed (protocol ?a ~eps ())
-
-(* [step] in population form for Notification's machine (its pool and
-   its stations), hand-specialised because it is the weak-CD hot path:
-   the estimate [u] of every station in one float array.  Float updates
-   mirror [step] operation for operation; the transmission probability
-   is cached per station and recomputed — with the same
-   [Float.exp2 (-.u)] expression [tx_prob] uses — only when [u]
-   changes, so the cached value stays bit-identical to a fresh
-   computation (skipping the recompute when the update left [u]
-   unchanged, e.g. Null at u = 0, is sound for the same reason).  A
-   Single leaves [u] alone and is not tracked: under weak or no CD only
-   listeners perceive a Single, which drops their sub on the same slot,
-   so nothing reads the state after it.  Pinned bitwise against [Logic]
-   in test_notification.ml. *)
-let flat_sub ?a ~eps () =
-  let a = step_denominator ~where:"Lesk.flat_sub" ?a ~eps () in
-  {
-    Notification.fs_name = Printf.sprintf "LESK(eps=%.3g)" eps;
-    fs_make =
-      (fun ~n ->
-        let u = Array.make n 0.0 in
-        let p = Array.make n 1.0 in
-        (* Station estimates move in lockstep except around Singles, so
-           one memo entry serves nearly every station on a jammed slot;
-           [exp2] is pure, so the memoized float is the bit a fresh
-           computation would give. *)
-        let memo_u = ref Float.nan and memo_p = ref 0.0 in
-        let exp2m v =
-          if v = !memo_u then !memo_p
-          else begin
-            let r = Float.exp2 (-.v) in
-            memo_u := v;
-            memo_p := r;
-            r
-          end
-        in
-        {
-          Notification.sp_reset =
-            (fun i ->
-              u.(i) <- 0.0;
-              p.(i) <- exp2m 0.0);
-          sp_tx_prob = (fun i -> p.(i));
-          sp_on_state =
-            (fun i state ->
-              match state with
-              | Channel.Null ->
-                  let u' = Float.max (u.(i) -. 1.0) 0.0 in
-                  if u' <> u.(i) then begin
-                    u.(i) <- u';
-                    p.(i) <- exp2m u'
-                  end
-              | Channel.Collision ->
-                  u.(i) <- u.(i) +. (1.0 /. a);
-                  p.(i) <- exp2m u.(i)
-              | Channel.Single -> ());
-        });
-  }
 
 let expected_time_bound ~eps ~n ~window =
   let log2n = Float.max 1.0 (Float.log2 (float_of_int (Int.max 2 n))) in

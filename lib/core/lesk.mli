@@ -30,7 +30,7 @@ val protocol : ?a:float -> eps:float -> unit -> float Jamming_sim.Aggregate.prot
     step-size ablation bench uses it, including the symmetric [a = 1]
     variant that the adversary can drive to divergence (§2.1).  Every
     form below is derived from this description or steps through
-    {!step}. *)
+    {!step}, and {!Lewk} runs it under {!Notification}. *)
 
 module Logic : sig
   (** The per-station state machine as a mutable record, for
@@ -74,14 +74,6 @@ val station : eps:float -> Jamming_station.Station.factory
 val aggregate : ?a:float -> eps:float -> unit -> Jamming_sim.Aggregate.packed
 (** {!protocol}, packed for the population-counting
     {!Jamming_sim.Aggregate} engine. *)
-
-val flat_sub : ?a:float -> eps:float -> unit -> Notification.flat_sub
-(** LESK as Notification's sub-algorithm ({!Notification.station},
-    {!Notification.pool}), hand-specialised for the weak-CD hot path:
-    every station's estimate [u] in one float array, updates mirroring
-    {!step} bit for bit, transmission probabilities cached per station
-    and recomputed (same [2^−u] expression) only when [u] changes.  [a]
-    as in {!protocol}. *)
 
 val expected_time_bound : eps:float -> n:int -> window:int -> float
 (** The Theorem 2.6 shape [max{T, log n / (ε³ log₂(1/ε))}] (no hidden

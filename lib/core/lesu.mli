@@ -32,10 +32,11 @@ type state
 
 val protocol : ?config:config -> unit -> state Jamming_sim.Aggregate.protocol
 (** LESU as a pure description — the single place its transitions are
-    written.  Estimation rounds first; when one returns, [t₀] is fixed
-    and the LESK ladder starts, each phase stepping {!Lesk.step} with
-    [a = 8/ε_j] for {!phase_duration} slots.  A [Single] in any stage
-    elects.  Requires [c > 0] and [threshold >= 1]. *)
+    written.  Estimation rounds first ({!Estimation.step}); when one
+    returns, [t₀] is fixed and the LESK ladder starts, each phase
+    stepping {!Lesk.step} with [a = 8/ε_j] for {!phase_duration} slots.
+    A [Single] in any stage elects.  Requires [c > 0] and
+    [threshold >= 1].  {!Lewu} runs it under {!Notification}. *)
 
 val stage : state -> stage
 val t0 : state -> float option
@@ -52,14 +53,6 @@ val station : ?config:config -> unit -> Jamming_station.Station.factory
 val aggregate : ?config:config -> unit -> Jamming_sim.Aggregate.packed
 (** {!protocol}, packed for the population-counting
     {!Jamming_sim.Aggregate} engine. *)
-
-val flat_sub : ?config:config -> unit -> Notification.flat_sub
-(** LESU as Notification's sub-algorithm ({!Notification.station},
-    {!Notification.pool}), hand-specialised for the weak-CD hot path:
-    stage codes and estimation/election progress in flat arrays,
-    transitions mirroring {!protocol} bit for bit up to the first
-    [Single], transmission probabilities cached per station and
-    recomputed with the same expressions only when the state changes. *)
 
 val eps_guess : int -> float
 (** [eps_guess j = 2^{−j/3}], the tolerance sequence. *)

@@ -9,7 +9,7 @@ val station :
   unit ->
   Jamming_station.Station.factory
 (** LEWK as per-station closures: {!Notification.station} over
-    {!Lesk.flat_sub}, the path for faulty and churned runs. *)
+    {!Lesk.protocol}, the path for faulty and churned runs. *)
 
 val pool :
   ?on_phase:(id:int -> slot:int -> Notification.phase -> unit) ->
@@ -17,6 +17,6 @@ val pool :
   unit ->
   Jamming_station.Station.pool_factory
 (** LEWK in flat-pool form for [Engine.run_pool]: {!Notification.pool}
-    over {!Lesk.flat_sub}.  Bit-identical to {!station} driven by
+    over {!Lesk.protocol}.  Bit-identical to {!station} driven by
     [Engine.run] on the same seed; test_notification.ml pins both to a
     closure oracle. *)

@@ -9,7 +9,7 @@ val station :
   unit ->
   Jamming_station.Station.factory
 (** LEWU as per-station closures: {!Notification.station} over
-    {!Lesu.flat_sub}, the path for faulty and churned runs. *)
+    {!Lesu.protocol}, the path for faulty and churned runs. *)
 
 val pool :
   ?on_phase:(id:int -> slot:int -> Notification.phase -> unit) ->
@@ -17,6 +17,6 @@ val pool :
   unit ->
   Jamming_station.Station.pool_factory
 (** LEWU in flat-pool form for [Engine.run_pool]: {!Notification.pool}
-    over {!Lesu.flat_sub}.  Bit-identical to {!station} driven by
+    over {!Lesu.protocol}.  Bit-identical to {!station} driven by
     [Engine.run] on the same seed; test_notification.ml pins both to a
     closure oracle. *)

@@ -1,6 +1,7 @@
 module Channel = Jamming_channel.Channel
 module Station = Jamming_station.Station
 module Prng = Jamming_prng.Prng
+module Aggregate = Jamming_sim.Aggregate
 
 type phase =
   | Phase_a1
@@ -15,17 +16,6 @@ let pp_phase ppf = function
   | Phase_blocking -> Format.pp_print_string ppf "blocking"
   | Phase_announcing -> Format.pp_print_string ppf "announcing"
   | Phase_done st -> Format.fprintf ppf "done(%a)" Station.pp_status st
-
-type subpool = {
-  sp_reset : int -> unit;
-  sp_tx_prob : int -> float;
-  sp_on_state : int -> Channel.state -> unit;
-}
-
-type flat_sub = {
-  fs_name : string;
-  fs_make : n:int -> subpool;
-}
 
 (* Phase encoding for the flat arrays; [>= ph_done_leader] = finished. *)
 let ph_a1 = 0
@@ -57,10 +47,29 @@ let is_null = Channel.equal_state Channel.Null
 (* population, [station] for one station.                              *)
 (* ------------------------------------------------------------------ *)
 
-type machine = {
-  sp : subpool;
+(* One transition memo entry per perceived state: the tag last stepped
+   on it, the tag it led to (-1 for [Elected]), and that successor with
+   its transmission probability. *)
+type 'c entry = {
+  mutable from : int;
+  mutable dest : int;
+  mutable next : 'c;
+  mutable next_p : float;
+}
+
+type 'c machine = {
+  proto : 'c Aggregate.protocol;
+  init_p : float;  (* [proto.tx_prob proto.init] *)
   st_rng : Prng.t array;  (* station [i]'s private generator *)
   sub_rng : Prng.t array;  (* stream of station [i]'s current sub-instance *)
+  sub : 'c array;  (* state of station [i]'s sub-instance *)
+  sub_p : float array;  (* its transmission probability *)
+  sub_tag : int array;
+      (* Which memo entry produced [sub.(i)]: 0 for [init], -1 once [step]
+         returned [Elected], after which the instance is frozen as in
+         [Aggregate.to_uniform].  Equal tags mean one shared state. *)
+  memo : 'c entry array;  (* indexed by [entry_of] the perceived state *)
+  mutable last_tag : int;
   phase : int array;
   sub_gen : int array;
       (* Generation whose sub-instance station [i] currently holds; -1
@@ -78,12 +87,21 @@ type machine = {
   on_phase : (id:int -> slot:int -> phase -> unit) option;
 }
 
-let machine ?on_phase ~first_id fsub st_rng =
+let entry_of = function Channel.Null -> 0 | Channel.Single -> 1 | Channel.Collision -> 2
+
+let machine ?on_phase ~first_id proto st_rng =
   let n = Array.length st_rng in
+  let init_p = proto.Aggregate.tx_prob proto.init in
   {
-    sp = fsub.fs_make ~n;
+    proto;
+    init_p;
     st_rng;
     sub_rng = Array.make n (Prng.create ~seed:0);
+    sub = Array.make n proto.init;
+    sub_p = Array.make n init_p;
+    sub_tag = Array.make n 0;
+    memo = Array.init 3 (fun _ -> { from = -1; dest = -1; next = proto.init; next_p = init_p });
+    last_tag = 0;
     phase = Array.make n ph_a1;
     sub_gen = Array.make n (-1);
     finish_at = Array.make n max_int;
@@ -126,19 +144,45 @@ let ensure_sub m i =
   if m.sub_gen.(i) = m.gen then true
   else if m.off = 0 then begin
     m.sub_rng.(i) <- Prng.split m.st_rng.(i);
-    m.sp.sp_reset i;
+    m.sub.(i) <- m.proto.init;
+    m.sub_p.(i) <- m.init_p;
+    m.sub_tag.(i) <- 0;
     m.sub_gen.(i) <- m.gen;
     true
   end
   else false
+
+(* Feed station [i]'s sub-instance one perceived state.  [step] is pure
+   and equal tags hold one state, so (tag, perceived state) determines
+   the successor: stations in lockstep pay one [step] and one [tx_prob]
+   between them, and a station the memo has not seen steps its own. *)
+let step_sub m i perceived =
+  let t = m.sub_tag.(i) in
+  if t >= 0 then begin
+    let e = m.memo.(entry_of perceived) in
+    if e.from <> t then begin
+      (match m.proto.step m.sub.(i) perceived with
+      | Aggregate.Continue s ->
+          m.last_tag <- m.last_tag + 1;
+          e.dest <- m.last_tag;
+          e.next <- s;
+          e.next_p <- m.proto.tx_prob s
+      | Aggregate.Elected -> e.dest <- -1);
+      e.from <- t
+    end;
+    m.sub_tag.(i) <- e.dest;
+    if e.dest >= 0 then begin
+      m.sub.(i) <- e.next;
+      m.sub_p.(i) <- e.next_p
+    end
+  end
 
 let decide m i =
   let k = m.kind in
   let ph = m.phase.(i) in
   if (k = Intervals.kind_c1 && ph = ph_a1) || (k = Intervals.kind_c2 && ph = ph_a2) then
     if ensure_sub m i then
-      let p = m.sp.sp_tx_prob i in
-      if Prng.bool m.sub_rng.(i) ~p then Station.Transmit else Station.Listen
+      if Prng.bool m.sub_rng.(i) ~p:m.sub_p.(i) then Station.Transmit else Station.Listen
     else Station.Listen
   else if
     (k = Intervals.kind_c1 && ph = ph_blocking) || (k = Intervals.kind_c3 && ph = ph_announcing)
@@ -150,7 +194,7 @@ let observe m ~slot ~perceived ~transmitted i =
   if k = Intervals.kind_c1 then begin
     let ph = m.phase.(i) in
     if ph = ph_a1 then begin
-      if m.sub_gen.(i) = m.gen then m.sp.sp_on_state i perceived;
+      if m.sub_gen.(i) = m.gen then step_sub m i perceived;
       (* A listener hearing the first C1-Single knows it lost. *)
       if is_single perceived && not transmitted then transition m ~slot i ph_a2
     end
@@ -168,7 +212,7 @@ let observe m ~slot ~perceived ~transmitted i =
       if is_single perceived && not transmitted then transition m ~slot i ph_announcing
     end
     else if ph = ph_a2 then begin
-      if m.sub_gen.(i) = m.gen then m.sp.sp_on_state i perceived;
+      if m.sub_gen.(i) = m.gen then step_sub m i perceived;
       if is_single perceived && not transmitted then transition m ~slot i ph_blocking
     end
   end
@@ -184,8 +228,8 @@ let observe m ~slot ~perceived ~transmitted i =
    Each call locates its own slot: a station wrapped in lifecycle
    faults is not called while it sleeps, and the [Station.t] contract
    does not promise a [decide] before every [observe]. *)
-let station ?on_phase fsub ~id ~rng =
-  let m = machine ?on_phase ~first_id:id fsub [| rng |] in
+let station ?on_phase proto ~id ~rng =
+  let m = machine ?on_phase ~first_id:id proto [| rng |] in
   {
     Station.id;
     decide =
@@ -200,13 +244,13 @@ let station ?on_phase fsub ~id ~rng =
     finished = (fun () -> m.phase.(0) >= ph_done_leader);
   }
 
-let pool ?on_phase fsub : Station.pool_factory =
+let pool ?on_phase proto : Station.pool_factory =
  fun ~n ~rng ->
   if n < 0 then invalid_arg "Notification.pool: n must be >= 0";
   (* One private stream per station, split in the same order as
      [Engine.make_stations] so pooled runs share the station path's
      streams bit for bit. *)
-  let m = machine ?on_phase ~first_id:0 fsub (Array.init n (fun _ -> Prng.split rng)) in
+  let m = machine ?on_phase ~first_id:0 proto (Array.init n (fun _ -> Prng.split rng)) in
   let active = Array.init n (fun i -> i) in
   let n_active = ref n in
   (* Energy bookkeeping: notification stations never sleep, so station

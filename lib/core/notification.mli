@@ -20,13 +20,19 @@
     terminates too.  Correct for [n ≥ 3] (the paper's requirement: at
     least one blocker must exist).
 
-    The phase machine is written once, over flat arrays: phase codes
-    and generation tags in int arrays, the sub-algorithm's state in a
-    {!subpool}, one slot classification per slot.  {!pool} drives it
-    for a whole population and {!station} for one station; they are
+    [A] is any pure description ({!Jamming_sim.Aggregate.protocol}:
+    [Lesk.protocol], [Lesu.protocol]).  The phase machine is written
+    once, over flat arrays: phase codes and generation tags in int
+    arrays, each station's state of [A] and its cached transmission
+    probability beside them, one slot classification per slot.
+    Stations in lockstep share one state value: a small transition
+    memo, one entry per perceived channel state, calls [step] and
+    [tx_prob] once per group rather than once per station, which is
+    exact because [step] is pure.  {!pool} drives the machine for a
+    whole population and {!station} for one station; they are
     bit-identical per seed.  The test suite keeps a closure-per-station
-    implementation as the differential oracle both are compared
-    against. *)
+    implementation over [Aggregate.to_uniform] as the differential
+    oracle both are compared against. *)
 
 type phase =
   | Phase_a1  (** running A in C1; leader still undefined *)
@@ -37,59 +43,32 @@ type phase =
 
 val pp_phase : Format.formatter -> phase -> unit
 
-(** {1 The sub-algorithm}
-
-    Sub-algorithm state for [n] stations.  [sp_reset i] restarts
-    station [i]'s instance of [A] (called at every interval restart,
-    right after a fresh stream is split off the station's generator);
-    [sp_tx_prob i] is its current transmission probability;
-    [sp_on_state i st] feeds it one perceived state.  The machine never
-    feeds a [Single] to an instance it reads again under weak or no CD:
-    only listeners perceive a [Single], and it moves them to the next
-    phase, which drops their instance. *)
-type subpool = {
-  sp_reset : int -> unit;
-  sp_tx_prob : int -> float;
-  sp_on_state : int -> Jamming_channel.Channel.state -> unit;
-}
-
-type flat_sub = {
-  fs_name : string;
-  fs_make : n:int -> subpool;
-}
-(** A sub-algorithm [A] in population form ([Lesk.flat_sub],
-    [Lesu.flat_sub]). *)
-
 (** {1 Drivers} *)
 
 val station :
   ?on_phase:(id:int -> slot:int -> phase -> unit) ->
-  flat_sub ->
+  'c Jamming_sim.Aggregate.protocol ->
   Jamming_station.Station.factory
 (** Wrap [A] into a full weak-CD leader-election station: the machine
     at [n = 1], on the station's own generator (each sub-instance's
-    stream is split off it).  [on_phase] is called at every phase
-    transition with the station's [id] (used by the example traces and
-    the tests).
+    stream is split off it).  An instance of [A] starts at [init] at
+    every interval restart; once [step] returns [Elected] it is frozen
+    for the rest of the interval, keeping its state and transmission
+    probability, as [Aggregate.to_uniform] does.  [on_phase] is called
+    at every phase transition with the station's [id] (used by the
+    example traces and the tests).
 
     This is the path for runs with lifecycle faults, sensing noise or
     churn, which pools do not take: every [decide] and [observe]
     classifies its own slot, so a station need not be called every
-    slot.  Fault-free weak-CD call sites should use {!pool}.
-
-    Under [Strong_cd] a lone transmitter perceives its own [Single] and
-    its sub-instance keeps stepping on later slots of the interval,
-    exactly as in {!pool}; the test suite's closure oracle freezes the
-    instance there instead, so the two are compared under weak and no
-    CD only.  No caller pairs Notification with strong CD, where [A]
-    alone already elects. *)
+    slot.  Fault-free weak-CD call sites should use {!pool}. *)
 
 val pool :
   ?on_phase:(id:int -> slot:int -> phase -> unit) ->
-  flat_sub ->
+  'c Jamming_sim.Aggregate.protocol ->
   Jamming_station.Station.pool_factory
-(** [pool fsub ~n ~rng] is the population that [n] stations built by
-    [station fsub] with [Engine.make_stations] over [rng] would be:
+(** [pool a ~n ~rng] is the population that [n] stations built by
+    [station a] with [Engine.make_stations] over [rng] would be:
     station [i]'s generator is split off [rng] in id order.  Drive it
     with [Engine.run_pool].  On top of the machine it keeps one dense
     active set, so finished stations cost nothing, and skips slots

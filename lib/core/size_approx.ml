@@ -13,32 +13,34 @@ let pp_outcome ppf = function
   | Exhausted { slots } -> Format.fprintf ppf "no estimate within %d slots" slots
 
 let run ?(threshold = 2) ~n ~rng ~adversary ~budget ~max_slots () =
-  let logic = Estimation.Logic.create ~threshold in
+  if threshold < 1 then invalid_arg "Size_approx.run: threshold must be >= 1";
+  let state = ref (Estimation.Running Estimation.init) in
   let protocol =
     {
       Uniform.name = "SizeApprox";
       tx_prob =
         (fun () ->
-          match Estimation.Logic.finished logic with
-          | Some _ -> 0.0
-          | None -> Estimation.Logic.tx_prob logic);
+          match !state with
+          | Estimation.Running s -> Estimation.tx_prob s
+          | Returned _ | Singled -> 0.0);
       on_state =
-        (fun state ->
-          Estimation.Logic.on_state logic state;
-          if Estimation.Logic.singled logic || Estimation.Logic.finished logic <> None
-          then Uniform.Elected (* stop the engine; we disambiguate below *)
-          else Uniform.Continue);
+        (fun channel ->
+          (match !state with
+          | Estimation.Running s -> state := Estimation.step ~threshold s channel
+          | Returned _ | Singled -> ());
+          match !state with
+          | Running _ -> Uniform.Continue
+          | Returned _ | Singled -> Uniform.Elected (* stop the engine; we disambiguate below *));
     }
   in
   let result =
     Jamming_sim.Uniform_engine.run ~n ~rng ~protocol ~adversary ~budget ~max_slots ()
   in
   let slots = result.Jamming_sim.Metrics.slots in
-  if Estimation.Logic.singled logic then Leader_elected { slots }
-  else
-    match Estimation.Logic.finished logic with
-    | Some round -> Estimate { round; n_hat = Float.exp2 (Float.exp2 (float_of_int round)); slots }
-    | None -> Exhausted { slots }
+  match !state with
+  | Singled -> Leader_elected { slots }
+  | Returned round -> Estimate { round; n_hat = Float.exp2 (Float.exp2 (float_of_int round)); slots }
+  | Running _ -> Exhausted { slots }
 
 let within_lemma_2_8_band ~round ~n ~window =
   let loglog_n = Float.log2 (Float.max 1.0 (Float.log2 (float_of_int (Int.max 2 n)))) in

@@ -66,8 +66,8 @@ let aggregate_lesu ?config () = aggregate_of (Jamming_core.Lesu.aggregate ?confi
    A pooled spec is the drop-in fast path for the corresponding Exact
    spec: it shares the Exact seed tags and cache keys below, which is
    sound because the pooled engine is bit-identical to the closure
-   engine on every stream (asserted in test_notification.ml and the E7
-   oracle check). *)
+   engine on every stream (test_notification.ml's pool ≡ oracle and
+   station ≡ oracle properties). *)
 let pooled_lewk ?(eps = 0.5) () =
   Pooled { name = "LEWK"; cd = Channel.Weak_cd; pool = Jamming_core.Lewk.pool ~eps () }
 
@@ -487,14 +487,16 @@ let run_churn ?(observers = []) ~engine ~churn ?restart_after setup adversary ~s
   (match restart_after with
   | Some r when r < 1 -> invalid_arg "Runner.run_churn: restart_after must be >= 1"
   | Some _ | None -> ());
+  (* Checked before the null-churn shortcut, so a churn run accepts the
+     same engines whatever its churn, as [Cell.v] does. *)
+  let { cd; station; faults = faults_cfg; monitor_checks; kind = _ } =
+    churn_parts ~where:"Runner" engine
+  in
   if Faults.Churn.is_null churn && restart_after = None then
     (* Bit-identical to the static cell by construction: no churn stream
        is created and the underlying engine runs completely unchanged. *)
     Dynamic.of_static (run ~observers ~engine setup adversary ~seed)
   else begin
-    let { cd; station; faults = faults_cfg; monitor_checks; kind = _ } =
-      churn_parts ~where:"Runner" engine
-    in
     let factory = station setup in
     Faults.Config.validate faults_cfg;
     let budget = Budget.create ~window:setup.window ~eps:setup.eps in

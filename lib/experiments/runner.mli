@@ -70,10 +70,11 @@ type engine =
       (** Flat struct-of-arrays {!Jamming_sim.Engine.run_pool} over a
           {!Jamming_station.Station.pool} (DESIGN.md §15) — the fast
           path for weak-CD notification protocols.  Bit-identical to
-          the [Exact] closure engine per seed (asserted in tests and in
-          E7's oracle check), so it deliberately shares the [Exact]
-          seed tags and cache keys: a pooled cell {e is} the exact
-          cell, faster.  Does not support churn. *)
+          the [Exact] closure engine per seed (test_notification.ml's
+          pool ≡ oracle and station ≡ oracle properties), so it
+          deliberately shares the [Exact] seed tags and cache keys: a
+          pooled cell {e is} the exact cell, faster.  Does not support
+          churn, null churn included. *)
 
 val engine_name : engine -> string
 
@@ -322,7 +323,8 @@ val run_churn :
     A monitor spans the whole run ({!Jamming_sim.Monitor.all_checks}
     when the spec has no perception/lifecycle faults, safety checks
     otherwise); raises {!Jamming_sim.Monitor.Violation} on a broken
-    invariant. *)
+    invariant.  Raises [Invalid_argument] for the [Aggregate] and
+    [Pooled] engines, null churn included, as {!Cell.v} does. *)
 
 (** {1 Store keys and JSON codecs} *)
 

@@ -1,20 +1,19 @@
-module Estimation = Jamming_core.Estimation
 module Lesk = Jamming_core.Lesk
 module Lesu = Jamming_core.Lesu
 
 (* The estimation phase computes t0 and leaves it in a ref that the
    (lazily constructed) LESK phases read when they start. *)
 let estimation_phase ~config ~t0 () =
-  let logic = Estimation.Logic.create ~threshold:config.Lesu.threshold in
+  let logic = Estimation_logic.create ~threshold:config.Lesu.threshold in
   {
     Schedule.label = "estimation";
-    tx_prob = (fun () -> Estimation.Logic.tx_prob logic);
+    tx_prob = (fun () -> Estimation_logic.tx_prob logic);
     on_state =
       (fun state ->
-        Estimation.Logic.on_state logic state;
-        if Estimation.Logic.singled logic then Schedule.Elected
+        Estimation_logic.on_state logic state;
+        if Estimation_logic.singled logic then Schedule.Elected
         else
-          match Estimation.Logic.finished logic with
+          match Estimation_logic.finished logic with
           | Some round ->
               t0 := config.Lesu.c *. Float.exp2 (float_of_int (1 + round));
               Schedule.Phase_done

@@ -4,7 +4,7 @@
     Same algorithm — Estimation(L), then time-boxed [LESK(ε_j)] runs
     for [⌈3·2^i·t₀/j⌉] slots in the order [(1,1), (2,1), (2,2), (3,1),
     …] — but expressed as a lazy phase stream over the mutable
-    {!Jamming_core.Estimation.Logic} and fresh {!Jamming_core.Lesk}
+    {!Estimation_logic} and fresh {!Jamming_core.Lesk}
     instances instead of one pure transition.  The suite drives both on
     identical seeds and channel-state sequences and demands
     {e bit-identical} behaviour. *)

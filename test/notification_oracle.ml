@@ -4,9 +4,8 @@
    independently: variant phases, one closure bundle per station, a
    boxed instance of [A] per interval restart driven through a uniform
    protocol's logic, and [Intervals.classify] per slot instead of a
-   cursor.  Both derived forms must reproduce it bit for bit under weak
-   and no CD, lifecycle faults and sensing noise.  Under strong CD they
-   part ways by design (see [Notification.station]). *)
+   cursor.  Both derived forms must reproduce it bit for bit under
+   weak, no and strong CD, lifecycle faults and sensing noise. *)
 
 module Channel = Jamming_channel.Channel
 module Station = Jamming_station.Station
@@ -141,8 +140,9 @@ let station ?on_phase factory ~id ~rng =
   let finished () = match !phase with Phase_done _ -> true | _ -> false in
   { Station.id; decide; observe; status; finished }
 
-let lewk ?on_phase ~eps () =
-  station ?on_phase (sub_of_uniform (Jamming_core.Lesk.uniform ~eps))
+(* [A] given as a pure description, run through its uniform driver. *)
+let of_protocol ?on_phase proto =
+  station ?on_phase (sub_of_uniform (Jamming_sim.Aggregate.to_uniform proto))
 
-let lewu ?on_phase ?config () =
-  station ?on_phase (sub_of_uniform (Jamming_core.Lesu.uniform ?config ()))
+let lewk ?on_phase ~eps () = of_protocol ?on_phase (Jamming_core.Lesk.protocol ~eps ())
+let lewu ?on_phase ?config () = of_protocol ?on_phase (Jamming_core.Lesu.protocol ?config ())

@@ -118,7 +118,7 @@ let prop_pure_lesk_mirrors_logic =
           go p.Aggregate.init states)
 
 (* LESU's pure description against its independent oracle, the
-   Schedule-combinator rebuild over Estimation.Logic and fresh LESK
+   Schedule-combinator rebuild over Estimation_logic and fresh LESK
    instances: bitwise-equal transmit probabilities and election on the
    same step, across several [c] so short phases climb the ladder. *)
 let prop_pure_lesu_matches_declarative =

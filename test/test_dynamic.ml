@@ -366,6 +366,28 @@ let test_null_churn_is_the_static_run () =
         (Dynamic.equal_result (Dynamic.of_static static) churned))
     engines
 
+(* Null churn takes the static shortcut, but only on an engine a churn
+   run accepts: both entry points reject the class-counting and the
+   pooled engines alike. *)
+let test_null_churn_rejects_static_only_engines () =
+  List.iter
+    (fun (what, engine) ->
+      let refusal where =
+        Invalid_argument (Printf.sprintf "%s: the %s engine does not support churn" where what)
+      in
+      Alcotest.check_raises (what ^ ": run_churn") (refusal "Runner") (fun () ->
+          ignore
+            (E.Runner.run_churn ~engine ~churn:Churn.none setup E.Specs.greedy ~seed:1
+              : Dynamic.result));
+      Alcotest.check_raises (what ^ ": Cell.v") (refusal "Runner.Cell") (fun () ->
+          ignore
+            (E.Runner.Cell.v ~churn:Churn.none ~engine ~reps:1 setup E.Specs.greedy
+              : E.Runner.Cell.t)))
+    [
+      ("pooled", E.Runner.pooled_lewk ~eps:0.5 ());
+      ("aggregate", E.Runner.aggregate_lesk ~eps:0.5 ());
+    ]
+
 let test_runner_churn_deterministic () =
   let engine = List.assoc "exact" engines in
   let churn = Churn.Leader_killer { grace = 20; max_kills = 2 } in
@@ -420,6 +442,9 @@ let suite =
     ("json round-trip", `Quick, test_json_roundtrip);
     ("of_static shape", `Quick, test_of_static_shape);
     ("null churn is the static run", `Quick, test_null_churn_is_the_static_run);
+    ( "null churn rejects static-only engines",
+      `Quick,
+      test_null_churn_rejects_static_only_engines );
     ("runner churn deterministic", `Quick, test_runner_churn_deterministic);
     ("runner rate churn accounting", `Quick, test_runner_churn_rate_accounting);
   ]

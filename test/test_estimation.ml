@@ -5,47 +5,50 @@ open Test_util
 let nulls k = List.init k (fun _ -> Channel.Null)
 let collisions k = List.init k (fun _ -> Channel.Collision)
 
-(* Feed a state sequence to a fresh [Logic], stopping where it stops. *)
-let run_logic ~threshold ~states =
-  let logic = Estimation.Logic.create ~threshold in
-  let rec go = function
-    | [] -> (
-        match Estimation.Logic.finished logic with
-        | Some r -> `Returned r
-        | None -> if Estimation.Logic.singled logic then `Singled else `Running logic)
+(* Feed a state sequence to [Estimation.step] from [from] (default
+   [init]), stopping where it stops. *)
+let run_step ?(from = Estimation.init) ~threshold states =
+  let rec go s = function
+    | [] -> `Running s
     | st :: rest -> (
-        Estimation.Logic.on_state logic st;
-        if Estimation.Logic.singled logic then `Singled
-        else
-          match Estimation.Logic.finished logic with
-          | Some r -> `Returned r
-          | None -> go rest)
+        match Estimation.step ~threshold s st with
+        | Estimation.Running s -> go s rest
+        | Returned r -> `Returned r
+        | Singled -> `Singled)
   in
-  go states
+  go from states
+
+let running = function
+  | `Running s -> s
+  | `Returned r -> Alcotest.failf "returned %d, expected to keep running" r
+  | `Singled -> Alcotest.fail "unexpected Single"
 
 let test_validation () =
-  Alcotest.check_raises "threshold 0"
-    (Invalid_argument "Estimation.Logic.create: threshold must be >= 1") (fun () ->
-      ignore (Estimation.Logic.create ~threshold:0))
+  Alcotest.check_raises "uniform, threshold 0"
+    (Invalid_argument "Estimation.uniform: threshold must be >= 1") (fun () ->
+      ignore (Estimation.uniform ~threshold:0 () ()));
+  Alcotest.check_raises "Size_approx.run, threshold 0"
+    (Invalid_argument "Size_approx.run: threshold must be >= 1") (fun () ->
+      ignore
+        (Size_approx.run ~threshold:0 ~n:4 ~rng:(Prng.create ~seed:1)
+           ~adversary:(Adversary.none ()) ~budget:(Budget.create ~window:4 ~eps:0.5)
+           ~max_slots:10 ()))
 
 let test_round_structure () =
-  let l = Estimation.Logic.create ~threshold:2 in
-  check_int "round starts at 1" 1 (Estimation.Logic.round l);
-  check_float "round-1 probability is 2^-2" 0.25 (Estimation.Logic.tx_prob l);
+  let s = Estimation.init in
+  check_int "round starts at 1" 1 s.Estimation.round;
+  check_float "round-1 probability is 2^-2" 0.25 (Estimation.tx_prob s);
   (* Round 1 has 2 slots; feed 2 collisions -> advance to round 2. *)
-  Estimation.Logic.on_state l Channel.Collision;
-  Estimation.Logic.on_state l Channel.Collision;
-  check_int "round 2 after 2 slots" 2 (Estimation.Logic.round l);
-  check_float "round-2 probability is 2^-4" (1.0 /. 16.0) (Estimation.Logic.tx_prob l);
+  let s = running (run_step ~from:s ~threshold:2 (collisions 2)) in
+  check_int "round 2 after 2 slots" 2 s.Estimation.round;
+  check_float "round-2 probability is 2^-4" (1.0 /. 16.0) (Estimation.tx_prob s);
   (* Round 2 has 4 slots. *)
-  for _ = 1 to 4 do
-    Estimation.Logic.on_state l Channel.Collision
-  done;
-  check_int "round 3 after 4 more" 3 (Estimation.Logic.round l)
+  let s = running (run_step ~from:s ~threshold:2 (collisions 4)) in
+  check_int "round 3 after 4 more" 3 s.Estimation.round
 
 let test_returns_on_enough_nulls () =
   (* Round 1 (2 slots) with 2 Nulls meets L = 2 immediately. *)
-  match run_logic ~threshold:2 ~states:(nulls 2) with
+  match run_step ~threshold:2 (nulls 2) with
   | `Returned 1 -> ()
   | `Returned r -> Alcotest.failf "returned %d, expected 1" r
   | `Singled -> Alcotest.fail "unexpected Single"
@@ -53,36 +56,35 @@ let test_returns_on_enough_nulls () =
 
 let test_nulls_must_be_in_one_round () =
   (* One Null in round 1 does not carry over; round 2 (4 slots) is fed
-     only 3 slots with a single Null, so the logic is still mid-round. *)
+     only 3 slots with a single Null, so the estimation is still
+     mid-round. *)
   let states = [ Channel.Null; Channel.Collision ] @ collisions 2 @ [ Channel.Null ] in
-  match run_logic ~threshold:2 ~states with
-  | `Running l -> check_int "still in round 2" 2 (Estimation.Logic.round l)
+  match run_step ~threshold:2 states with
+  | `Running s -> check_int "still in round 2" 2 s.Estimation.round
   | `Returned r -> Alcotest.failf "returned %d too early" r
   | `Singled -> Alcotest.fail "unexpected Single"
 
 let test_single_stops_everything () =
-  match run_logic ~threshold:2 ~states:(collisions 3 @ [ Channel.Single ]) with
+  match run_step ~threshold:2 (collisions 3 @ [ Channel.Single ]) with
   | `Singled -> ()
   | _ -> Alcotest.fail "Single must end the estimation"
 
 let test_threshold_one () =
-  match run_logic ~threshold:1 ~states:[ Channel.Collision; Channel.Null ] with
+  match run_step ~threshold:1 [ Channel.Collision; Channel.Null ] with
   | `Returned 1 -> ()
   | _ -> Alcotest.fail "L=1 returns on the first Null-bearing round"
 
 let test_probability_underflows_gracefully () =
-  let l = Estimation.Logic.create ~threshold:2 in
   (* Push to a very high round. *)
-  let rec drain r =
-    if r < 70 then begin
-      for _ = 1 to 1 lsl Stdlib.min r 22 do
-        Estimation.Logic.on_state l Channel.Collision
-      done;
-      drain (r + 1)
-    end
-  in
-  drain 1;
-  let p = Estimation.Logic.tx_prob l in
+  let s = ref Estimation.init in
+  for r = 1 to 69 do
+    for _ = 1 to 1 lsl Stdlib.min r 22 do
+      match Estimation.step ~threshold:2 !s Channel.Collision with
+      | Estimation.Running next -> s := next
+      | Returned _ | Singled -> Alcotest.fail "Collisions never stop the estimation"
+    done
+  done;
+  let p = Estimation.tx_prob !s in
   check_true "probability stays a valid float" (p >= 0.0 && p <= 1.0)
 
 (* --- Lemma 2.8 in simulation (via Size_approx, which wraps Estimation) --- *)

@@ -152,11 +152,10 @@ module Observer = Jamming_sim.Observer
 module Config = Jamming_faults.Config
 module Fault_plan = Jamming_faults.Fault_plan
 module Injection = Jamming_faults.Injection
-module Lesk = Jamming_core.Lesk
-module Lesu = Jamming_core.Lesu
 module Aggregate = Jamming_sim.Aggregate
 
-type protocol = P_lewk | P_lewu
+(* [P_pure a] runs Notification over any pure description [a]. *)
+type protocol = P_lewk | P_lewu | P_pure of Aggregate.packed
 
 (* One run through the oracle ([Notification_oracle]), the derived
    station or the pool, everything rebuilt from the seed — stations or
@@ -189,6 +188,7 @@ let identity_run ?plans ?noise ?(cd = Channel.Weak_cd) which ~protocol ~seed ~n 
           match protocol with
           | P_lewk -> Lewk.pool ~on_phase ~eps:0.5 () ~n ~rng:g
           | P_lewu -> Lewu.pool ~on_phase () ~n ~rng:g
+          | P_pure (Aggregate.Packed a) -> Notification.pool ~on_phase a ~n ~rng:g
         in
         Engine.run_pool ~observers:[ recording ] ~cd ~adversary ~budget ~max_slots ~pool ()
     | (`Oracle | `Station) as which ->
@@ -198,6 +198,8 @@ let identity_run ?plans ?noise ?(cd = Channel.Weak_cd) which ~protocol ~seed ~n 
           | `Oracle, P_lewu -> Notification_oracle.lewu ~on_phase ()
           | `Station, P_lewk -> Lewk.station ~on_phase ~eps:0.5 ()
           | `Station, P_lewu -> Lewu.station ~on_phase ()
+          | `Oracle, P_pure (Aggregate.Packed a) -> Notification_oracle.of_protocol ~on_phase a
+          | `Station, P_pure (Aggregate.Packed a) -> Notification.station ~on_phase a
         in
         let stations = Engine.make_stations ~n ~rng:g factory in
         let stations =
@@ -216,10 +218,7 @@ let matches_oracle ?plans ?noise ?cd which ~protocol ~seed ~n ~adversary ~max_sl
   identity_run ?plans ?noise ?cd `Oracle ~protocol ~seed ~n ~adversary ~max_slots
   = identity_run ?plans ?noise ?cd which ~protocol ~seed ~n ~adversary ~max_slots
 
-(* Notification is only ever paired with weak or no CD; under strong CD
-   the derived forms part ways with the oracle by design (see
-   [Notification.station]). *)
-let cd_gen = QCheck.oneofl [ Channel.Weak_cd; Channel.No_cd ]
+let cd_gen = QCheck.oneofl [ Channel.Weak_cd; Channel.No_cd; Channel.Strong_cd ]
 
 let prop_pool_matches_oracle_lewk =
   qtest ~count:40 "LEWK flat pool ≡ closure oracle (seeds × jamming × n × CD)"
@@ -294,49 +293,34 @@ let test_staggered_join_sits_out () =
         transitions)
     [ 1; 2; 3; 4; 5 ]
 
-let bits = Int64.bits_of_float
+(* A pure protocol whose state is a hash of its whole perceived
+   history, so a station handed another's state by the pool's
+   transition memo leaves the oracle's trajectory at once.  Weak- and
+   no-CD transmitters perceive Collision while listeners hear the slot,
+   so stations leave lockstep.  A Single elects, and so does one
+   history in 61, which freezes instances that keep transmitting. *)
+let history_hash =
+  {
+    Aggregate.name = "history-hash";
+    init = 17;
+    tx_prob = (fun h -> Float.exp2 (-.float_of_int (h mod 7)));
+    step =
+      (fun h st ->
+        match st with
+        | Channel.Single -> Aggregate.Elected
+        | Channel.Null | Channel.Collision ->
+            let h = Hashtbl.hash (h, st) in
+            if h mod 61 = 0 then Aggregate.Elected else Aggregate.Continue h);
+    compare = Int.compare;
+  }
 
-let prop_lesk_flat_matches_logic =
-  qtest ~count:150 "Lesk.flat_sub ≡ Lesk.Logic (bitwise tx_prob)"
-    QCheck.(
-      pair (float_range 0.25 1.0)
-        (list_of_size Gen.(0 -- 200) (oneofl [ Channel.Null; Channel.Collision; Channel.Single ])))
-    (fun (eps, states) ->
-      let logic = Lesk.Logic.create ~eps () in
-      let sp = (Lesk.flat_sub ~eps ()).Notification.fs_make ~n:3 in
-      sp.Notification.sp_reset 1;
-      List.for_all
-        (fun st ->
-          let before = bits (sp.Notification.sp_tx_prob 1) = bits (Lesk.Logic.tx_prob logic) in
-          Lesk.Logic.on_state logic st;
-          sp.Notification.sp_on_state 1 st;
-          before && bits (sp.Notification.sp_tx_prob 1) = bits (Lesk.Logic.tx_prob logic))
-        states)
-
-(* Compared up to the first Single: there the flat sub freezes at
-   tx_prob 0 while the pure state stays put, and under weak CD nothing
-   reads either afterwards (see [Lesu.flat_sub]). *)
-let prop_lesu_flat_matches_protocol =
-  qtest ~count:150 "Lesu.flat_sub ≡ Lesu.protocol up to the first Single"
-    QCheck.(pair (oneofl [ 0.05; 0.5; 4.0 ]) (channel_run ()))
-    (fun (c, states) ->
-      let config = { Lesu.default_config with c } in
-      let p = Lesu.protocol ~config () in
-      let sp = (Lesu.flat_sub ~config ()).Notification.fs_make ~n:2 in
-      sp.Notification.sp_reset 0;
-      let rec go state states =
-        bits (sp.Notification.sp_tx_prob 0) = bits (p.Aggregate.tx_prob state)
-        &&
-        match states with
-        | [] -> true
-        | st :: rest -> (
-            match p.Aggregate.step state st with
-            | Aggregate.Elected -> true
-            | Aggregate.Continue state' ->
-                sp.Notification.sp_on_state 0 st;
-                go state' rest)
-      in
-      go p.Aggregate.init states)
+let prop_pool_memo_matches_oracle =
+  qtest ~count:100 "Notification.pool ≡ oracle over a history-hash protocol"
+    QCheck.(quad small_int (oneofl [ 2; 17; 48 ]) bool cd_gen)
+    (fun (seed, n, jam, cd) ->
+      let adversary = if jam then Adversary.greedy else Adversary.none in
+      matches_oracle ~cd `Pool ~protocol:(P_pure (Aggregate.Packed history_hash)) ~seed ~n
+        ~adversary ~max_slots:5_000)
 
 let suite =
   [
@@ -356,6 +340,5 @@ let suite =
     prop_station_matches_oracle;
     ("staggered generation join sits out", `Quick, test_staggered_join_sits_out);
     ("pools elect at n=10^3..10^4 under greedy", `Quick, test_pools_elect_at_scale);
-    prop_lesk_flat_matches_logic;
-    prop_lesu_flat_matches_protocol;
+    prop_pool_memo_matches_oracle;
   ]

@@ -18,7 +18,7 @@ let () =
   let rng = Prng.create ~seed:2015 in
 
   (* LESK (Algorithm 1 of the paper): the stations know eps but not n. *)
-  let protocol = Lesk.uniform ~eps () in
+  let protocol = Lesk.protocol ~eps () in
 
   (* A greedy (T, 1-eps)-bounded jammer: it jams every slot the budget
      allows.  The budget enforcement is exact, so whatever the strategy

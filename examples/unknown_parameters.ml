@@ -12,7 +12,6 @@ module Prng = Jamming_prng.Prng
 module Budget = Jamming_adversary.Budget
 module Adversary = Jamming_adversary.Adversary
 module Lesu = Jamming_core.Lesu
-module Uniform = Jamming_station.Uniform
 module Metrics = Jamming_sim.Metrics
 module Aggregate = Jamming_sim.Aggregate
 
@@ -22,10 +21,11 @@ let () =
     "n = %d stations (unknown to them), adversary: (T = %d, 1 - %.1f)-bounded (also \
      unknown).@.@."
     n window eps;
-  (* Drive LESU's pure description by hand so the trace can read its
-     state after every slot. *)
+  (* Run LESU's pure description on the uniform engine and replay its
+     state from the slot records, so the trace can read it after every
+     slot. *)
   let lesu = Lesu.protocol () in
-  let state = ref lesu.Aggregate.init and elected = ref false in
+  let state = ref lesu.Aggregate.init in
   let last_stage = ref (Lesu.stage !state) in
   let describe slot = function
     | Lesu.Estimating round -> Format.printf "slot %6d: estimation, round %d@." slot round
@@ -33,36 +33,23 @@ let () =
         Format.printf "slot %6d: LESK phase (i=%d, j=%d), guessed eps = %.3f@." slot i j
           eps_hat
   in
-  let protocol =
-    {
-      Uniform.name = "LESU-traced";
-      tx_prob = (fun () -> lesu.Aggregate.tx_prob !state);
-      on_state =
-        (fun channel ->
-          match lesu.Aggregate.step !state channel with
-          | Aggregate.Continue s ->
-              state := s;
-              Uniform.Continue
-          | Aggregate.Elected ->
-              elected := true;
-              Uniform.Elected);
-    }
+  let trace (r : Metrics.slot_record) =
+    match lesu.Aggregate.step !state r.Metrics.state with
+    | Aggregate.Elected -> Format.printf "slot %6d: leader elected.@." r.Metrics.slot
+    | Aggregate.Continue s ->
+        state := s;
+        let stage = Lesu.stage s in
+        if stage <> !last_stage then begin
+          describe r.Metrics.slot stage;
+          last_stage := stage
+        end
   in
   let rng = Prng.create ~seed:99 in
   let budget = Budget.create ~window ~eps in
   let result =
     Jamming_sim.Uniform_engine.run
-      ~observers:
-        [
-          Jamming_sim.Observer.of_on_slot (fun r ->
-              let stage = Lesu.stage !state in
-              if !elected then Format.printf "slot %6d: leader elected.@." r.Metrics.slot
-              else if stage <> !last_stage then begin
-                describe r.Metrics.slot stage;
-                last_stage := stage
-              end);
-        ]
-      ~n ~rng ~protocol
+      ~observers:[ Jamming_sim.Observer.of_on_slot trace ]
+      ~n ~rng ~protocol:lesu
       ~adversary:(Adversary.greedy ())
       ~budget ~max_slots:2_000_000 ()
   in

@@ -1,5 +1,5 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
 type config = {
   gamma : float;
@@ -21,59 +21,43 @@ let validate cfg =
   if cfg.initial_threshold < 1 then invalid_arg "Arss_mac: initial_threshold must be >= 1"
 
 type state = {
-  cfg : config;
-  mutable p : float;
-  mutable threshold : int;
-  mutable counter : int;
-  mutable useful_in_window : bool;  (* Null or Single since last counter reset *)
-  mutable elected : bool;
+  p : float;
+  threshold : int;
+  counter : int;
+  useful_in_window : bool;  (* Null or Single since last counter reset *)
 }
 
-let create cfg =
+let protocol cfg =
   validate cfg;
+  let up = 1.0 +. cfg.gamma in
+  (* Count the round; when the counter passes t_v, reset it, and back
+     off if the window saw neither a Null nor a Single. *)
+  let count st ~p ~useful =
+    let counter = st.counter + 1 in
+    if counter <= st.threshold then
+      Aggregate.Continue { st with p; counter; useful_in_window = useful }
+    else if useful then Continue { st with p; counter = 1; useful_in_window = false }
+    else
+      Continue { p = p /. up; threshold = st.threshold + 2; counter = 1; useful_in_window = false }
+  in
+  let step st = function
+    | Channel.Single -> Aggregate.Elected
+    | Channel.Null -> count st ~p:(Float.min (st.p *. up) cfg.p_hat) ~useful:true
+    | Channel.Collision -> count st ~p:st.p ~useful:st.useful_in_window
+  in
   {
-    cfg;
-    p = cfg.initial_p;
-    threshold = cfg.initial_threshold;
-    counter = 0;
-    useful_in_window = false;
-    elected = false;
+    Aggregate.name = Printf.sprintf "ARSS-MAC(gamma=%.4f)" cfg.gamma;
+    init =
+      {
+        p = cfg.initial_p;
+        threshold = cfg.initial_threshold;
+        counter = 0;
+        useful_in_window = false;
+      };
+    tx_prob = (fun st -> st.p);
+    step;
+    compare = Stdlib.compare;
   }
-
-let on_state st state =
-  let up = 1.0 +. st.cfg.gamma in
-  (match state with
-  | Channel.Null ->
-      st.p <- Float.min (st.p *. up) st.cfg.p_hat;
-      st.useful_in_window <- true
-  | Channel.Single ->
-      st.p <- st.p /. up;
-      st.threshold <- Int.max (st.threshold - 1) 1;
-      st.useful_in_window <- true;
-      st.elected <- true
-  | Channel.Collision -> ());
-  st.counter <- st.counter + 1;
-  if st.counter > st.threshold then begin
-    st.counter <- 1;
-    if not st.useful_in_window then begin
-      st.p <- st.p /. up;
-      st.threshold <- st.threshold + 2
-    end;
-    st.useful_in_window <- false
-  end
-
-let uniform cfg () =
-  let st = create cfg in
-  {
-    Uniform.name = Printf.sprintf "ARSS-MAC(gamma=%.4f)" cfg.gamma;
-    tx_prob = (fun () -> st.p);
-    on_state =
-      (fun state ->
-        on_state st state;
-        if st.elected then Uniform.Elected else Uniform.Continue);
-  }
-
-let station cfg = Uniform.distributed (uniform cfg)
 
 let expected_time_bound ~n =
   let l = Float.log2 (float_of_int (Int.max 2 n)) in

@@ -33,8 +33,14 @@ val config : n:int -> window:int -> config
 (** The γ the ARSS analysis prescribes for a network of size [n] facing
     window [T]: [γ = 1/(8·(log₂ T + log₂ log₂ n + 1))], [p_hat = 1/24]. *)
 
-val uniform : config -> Jamming_station.Uniform.factory
-val station : config -> Jamming_station.Station.factory
+type state
+(** [p], [t_v], [c_v] and whether the current counter window saw a
+    [Null]. *)
+
+val protocol : config -> state Jamming_sim.Aggregate.protocol
+(** The MAC as a pure description, used as a first-[Single] selection
+    protocol: a [Single] elects.  Validates [config] ([γ > 0],
+    [0 < initial_p ≤ p_hat ≤ 1], [initial_threshold ≥ 1]). *)
 
 val expected_time_bound : n:int -> float
 (** The [log⁴ n] shape for normalising E8. *)

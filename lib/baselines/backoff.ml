@@ -1,34 +1,31 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
-let uniform ?(max_backoff = 60) () () =
-  if max_backoff < 1 then invalid_arg "Backoff.uniform: max_backoff must be >= 1";
-  let b = ref 0 in
+(* The backoff exponent is capped so that 2^-b stays representable. *)
+let max_backoff = 60
+
+let protocol =
   {
-    Uniform.name = "binary-backoff";
-    tx_prob = (fun () -> Float.exp2 (-.float_of_int !b));
-    on_state =
-      (fun state ->
-        match state with
-        | Channel.Single -> Uniform.Elected
-        | Channel.Collision ->
-            b := Int.min (!b + 1) max_backoff;
-            Uniform.Continue
-        | Channel.Null ->
-            b := Int.max (!b - 1) 0;
-            Uniform.Continue);
+    Aggregate.name = "binary-backoff";
+    init = 0;
+    tx_prob = (fun b -> Float.exp2 (-.float_of_int b));
+    step =
+      (fun b -> function
+        | Channel.Single -> Aggregate.Elected
+        | Channel.Collision -> Continue (Int.min (b + 1) max_backoff)
+        | Channel.Null -> Continue (Int.max (b - 1) 0));
+    compare = Int.compare;
   }
 
-let station ?max_backoff () = Uniform.distributed (uniform ?max_backoff ())
-
-let known_n ~n () =
+let known_n ~n =
   if n < 1 then invalid_arg "Backoff.known_n: n must be >= 1";
   let p = 1.0 /. float_of_int n in
   {
-    Uniform.name = Printf.sprintf "known-n(%d)" n;
+    Aggregate.name = Printf.sprintf "known-n(%d)" n;
+    init = ();
     tx_prob = (fun () -> p);
-    on_state =
-      (fun state ->
-        if Channel.equal_state state Channel.Single then Uniform.Elected
-        else Uniform.Continue);
+    step =
+      (fun () state ->
+        if Channel.equal_state state Channel.Single then Aggregate.Elected else Continue ());
+    compare = Unit.compare;
   }

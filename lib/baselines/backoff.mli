@@ -10,11 +10,12 @@
     LESK's asymmetric ±(1 vs ε/8) steps prevent (§2.1).  Experiments
     E8/E9 show the blow-up. *)
 
-val uniform : ?max_backoff:int -> unit -> Jamming_station.Uniform.factory
-val station : ?max_backoff:int -> unit -> Jamming_station.Station.factory
+val protocol : int Jamming_sim.Aggregate.protocol
+(** The rule as a pure description.  The state is [b], capped at 60 so
+    that [2^{−b}] stays representable; a [Single] elects. *)
 
-val known_n : n:int -> Jamming_station.Uniform.factory
+val known_n : n:int -> unit Jamming_sim.Aggregate.protocol
 (** The "omniscient" memoryless protocol: transmit with probability
     [1/n] forever.  Optimal per-slot success probability [≈ 1/e] on a
     clear channel; used as the reference algorithm in the lower-bound
-    experiment E4 (Lemma 2.7 holds even for it). *)
+    experiment E4 (Lemma 2.7 holds even for it).  Requires [n >= 1]. *)

@@ -1,44 +1,24 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
-let elected_of_state state = Channel.equal_state state Channel.Single
+type sweep = { bound : int; j : int }
 
-let sawtooth () () =
-  let round = ref 1 in
-  let j = ref 1 in
+(* Probe 2^-j for j = 1 .. bound, then restart at j = 1 with
+   [next bound]; only a Single (which elects) is feedback. *)
+let sweep ~name ~first ~next =
   {
-    Uniform.name = "NO-sawtooth";
-    tx_prob = (fun () -> Float.exp2 (-.float_of_int !j));
-    on_state =
-      (fun state ->
-        if elected_of_state state then Uniform.Elected
-        else begin
-          if !j >= !round then begin
-            incr round;
-            j := 1
-          end
-          else incr j;
-          Uniform.Continue
-        end);
+    Aggregate.name;
+    init = { bound = first; j = 1 };
+    tx_prob = (fun { j; _ } -> Float.exp2 (-.float_of_int j));
+    step =
+      (fun { bound; j } state ->
+        if Channel.equal_state state Channel.Single then Aggregate.Elected
+        else if j >= bound then Continue { bound = next bound; j = 1 }
+        else Continue { bound; j = j + 1 });
+    compare = Stdlib.compare;
   }
 
-let geometric_sweep () () =
-  let j_max = ref 2 in
-  let j = ref 1 in
-  {
-    Uniform.name = "NO-geometric";
-    tx_prob = (fun () -> Float.exp2 (-.float_of_int !j));
-    on_state =
-      (fun state ->
-        if elected_of_state state then Uniform.Elected
-        else begin
-          if !j >= !j_max then begin
-            j_max := Int.min (2 * !j_max) 62;
-            j := 1
-          end
-          else incr j;
-          Uniform.Continue
-        end);
-  }
+let sawtooth = sweep ~name:"NO-sawtooth" ~first:1 ~next:(fun round -> round + 1)
 
-let station_sawtooth () = Uniform.distributed (sawtooth ())
+let geometric_sweep =
+  sweep ~name:"NO-geometric" ~first:2 ~next:(fun j_max -> Int.min (2 * j_max) 62)

@@ -22,6 +22,11 @@
     LESK by a [log n]-factor-ish gap under jamming because they keep
     probing hopeless probabilities; E8/E9 quantify this. *)
 
-val sawtooth : unit -> Jamming_station.Uniform.factory
-val geometric_sweep : unit -> Jamming_station.Uniform.factory
-val station_sawtooth : unit -> Jamming_station.Station.factory
+type sweep
+(** The probed exponent [j] and the bound it restarts at. *)
+
+val sawtooth : sweep Jamming_sim.Aggregate.protocol
+(** As a pure description it runs on every engine; E13 runs it as
+    no-CD closure stations through [Aggregate.distributed]. *)
+
+val geometric_sweep : sweep Jamming_sim.Aggregate.protocol

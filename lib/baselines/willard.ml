@@ -1,5 +1,5 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
 type phase = Doubling of { k : int } | Bisecting of { lo : int; hi : int } | Firing of { k : int }
 
@@ -7,44 +7,33 @@ type phase = Doubling of { k : int } | Bisecting of { lo : int; hi : int } | Fir
    terminates even when jamming keeps pushing it upward. *)
 let max_exponent = 60
 
-type state = { mutable phase : phase; mutable elected : bool }
-
-let tx_prob st =
+let tx_prob phase =
   let k =
-    match st.phase with
+    match phase with
     | Doubling { k } -> k
     | Bisecting { lo; hi } -> (lo + hi) / 2
     | Firing { k } -> k
   in
   Float.exp2 (-.float_of_int k)
 
-let on_state st state =
+let step phase state =
   match state with
-  | Channel.Single -> st.elected <- true
-  | Channel.Null | Channel.Collision -> (
+  | Channel.Single -> Aggregate.Elected
+  | Channel.Null | Channel.Collision ->
       let got_null = Channel.equal_state state Channel.Null in
-      match st.phase with
-      | Doubling { k } ->
-          if got_null then
-            (* Null at exponent k, Collision at k/2: log2 n is inside. *)
-            st.phase <- Bisecting { lo = Int.max 1 (k / 2); hi = k }
-          else if 2 * k >= max_exponent then st.phase <- Firing { k = max_exponent }
-          else st.phase <- Doubling { k = 2 * k }
-      | Bisecting { lo; hi } ->
-          let mid = (lo + hi) / 2 in
-          let lo, hi = if got_null then (lo, mid) else (mid, hi) in
-          if hi - lo <= 1 then st.phase <- Firing { k = lo } else st.phase <- Bisecting { lo; hi }
-      | Firing _ -> ())
+      Aggregate.Continue
+        (match phase with
+        | Doubling { k } ->
+            if got_null then
+              (* Null at exponent k, Collision at k/2: log2 n is inside. *)
+              Bisecting { lo = Int.max 1 (k / 2); hi = k }
+            else if 2 * k >= max_exponent then Firing { k = max_exponent }
+            else Doubling { k = 2 * k }
+        | Bisecting { lo; hi } ->
+            let mid = (lo + hi) / 2 in
+            let lo, hi = if got_null then (lo, mid) else (mid, hi) in
+            if hi - lo <= 1 then Firing { k = lo } else Bisecting { lo; hi }
+        | Firing _ -> phase)
 
-let uniform () () =
-  let st = { phase = Doubling { k = 1 }; elected = false } in
-  {
-    Uniform.name = "Willard";
-    tx_prob = (fun () -> tx_prob st);
-    on_state =
-      (fun state ->
-        on_state st state;
-        if st.elected then Uniform.Elected else Uniform.Continue);
-  }
-
-let station () = Uniform.distributed (uniform ())
+let protocol =
+  { Aggregate.name = "Willard"; init = Doubling { k = 1 }; tx_prob; step; compare = Stdlib.compare }

@@ -16,5 +16,7 @@ type phase =
   | Bisecting of { lo : int; hi : int }
   | Firing of { k : int }
 
-val uniform : unit -> Jamming_station.Uniform.factory
-val station : unit -> Jamming_station.Station.factory
+val protocol : phase Jamming_sim.Aggregate.protocol
+(** The search as a pure description: starts in [Doubling { k = 1 }],
+    transmits with [2^{−k}] at the phase's exponent (the midpoint while
+    bisecting), and a [Single] elects. *)

@@ -1,33 +1,35 @@
 module Adversary = Jamming_adversary.Adversary
 
-let track_lesk ~eps_protocol = Lesk.Logic.create ~eps:eps_protocol ()
-
-let notify_lesk logic ~slot:_ ~jammed:_ ~state = Lesk.Logic.on_state logic state
+(* A jammer that replays LESK's common estimate [u] from the channel
+   history and jams while [wants ~a u] holds. *)
+let tracking_lesk ~name ~eps_protocol ~wants =
+  let a = Lesk.step_denominator ~where:"Adaptive_jammers" ~eps:eps_protocol () in
+  Adversary.stateful ~name
+    ~init:(fun () -> ref 0.0)
+    ~wants:(fun u ~slot:_ ~can_jam:_ -> wants ~a !u)
+    ~notify:(fun u ~slot:_ ~jammed:_ ~state ->
+      match Lesk.step ~a !u state with
+      | Jamming_sim.Aggregate.Continue u' -> u := u'
+      | Elected -> ())
 
 let single_suppressor ~eps_protocol ~n =
   if n < 1 then invalid_arg "Adaptive_jammers.single_suppressor: n must be >= 1";
   let u0 = Float.log2 (float_of_int n) in
-  Adversary.stateful
+  tracking_lesk
     ~name:(Printf.sprintf "single-suppressor(n=%d)" n)
-    ~init:(fun () -> track_lesk ~eps_protocol)
-    ~wants:(fun logic ~slot:_ ~can_jam:_ ->
-      let u = Lesk.Logic.u logic in
-      let a = Lesk.Logic.a logic in
+    ~eps_protocol
+    ~wants:(fun ~a u ->
       (* Lemma 2.4's regular band: jam where P[Single] is non-trivial. *)
       u >= u0 -. Float.log2 (2.0 *. log a) -. 1.0
       && u <= u0 +. (0.5 *. Float.log2 a) +. 2.0)
-    ~notify:notify_lesk
 
 let estimate_twister ~eps_protocol ~n =
   if n < 1 then invalid_arg "Adaptive_jammers.estimate_twister: n must be >= 1";
   let u0 = Float.log2 (float_of_int n) in
-  Adversary.stateful
+  tracking_lesk
     ~name:(Printf.sprintf "estimate-twister(n=%d)" n)
-    ~init:(fun () -> track_lesk ~eps_protocol)
-    ~wants:(fun logic ~slot:_ ~can_jam:_ ->
-      let a = Lesk.Logic.a logic in
-      Lesk.Logic.u logic <= u0 +. Float.log2 a)
-    ~notify:notify_lesk
+    ~eps_protocol
+    ~wants:(fun ~a u -> u <= u0 +. Float.log2 a)
 
 let notification_saboteur =
   Adversary.stateful ~name:"notification-saboteur"

@@ -1,5 +1,5 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 
 type state = { round : int; slots_left : int; nulls : int }
 type outcome = Running of state | Returned of int | Singled
@@ -18,18 +18,19 @@ let step ~threshold { round; slots_left; nulls } = function
       else if nulls >= threshold then Returned round
       else Running { round = round + 1; slots_left = 1 lsl (round + 1); nulls = 0 }
 
-let uniform ?(threshold = 2) () =
-  if threshold < 1 then invalid_arg "Estimation.uniform: threshold must be >= 1";
-  fun () ->
-    let state = ref (Running init) in
-    {
-      Uniform.name = Printf.sprintf "Estimation(L=%d)" threshold;
-      tx_prob =
-        (fun () -> match !state with Running s -> tx_prob s | Returned _ | Singled -> 0.0);
-      on_state =
-        (fun channel ->
-          (match !state with
-          | Running s -> state := step ~threshold s channel
-          | Returned _ | Singled -> ());
-          match !state with Singled -> Uniform.Elected | Running _ | Returned _ -> Uniform.Continue);
-    }
+let protocol ?(threshold = 2) () =
+  if threshold < 1 then invalid_arg "Estimation.protocol: threshold must be >= 1";
+  {
+    Aggregate.name = Printf.sprintf "Estimation(L=%d)" threshold;
+    init = Running init;
+    tx_prob = (function Running s -> tx_prob s | Returned _ | Singled -> 0.0);
+    step =
+      (fun st channel ->
+        match st with
+        | Running s -> (
+            match step ~threshold s channel with
+            | Singled -> Aggregate.Elected
+            | (Running _ | Returned _) as st -> Continue st)
+        | Returned _ | Singled -> Continue st);
+    compare = Stdlib.compare;
+  }

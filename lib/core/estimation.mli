@@ -33,12 +33,13 @@ val tx_prob : state -> float
 
 val step : threshold:int -> state -> Jamming_channel.Channel.state -> outcome
 (** Function 2's transition on one channel state — the single place it
-    is written ({!Lesu.protocol}, {!uniform} and [Size_approx.run] step
-    it).  [threshold] is the paper's [L] (the paper uses [L = 2]); the
+    is written ({!Lesu.protocol}, {!protocol} and [Size_approx.run]
+    step it).  [threshold] is the paper's [L] (the paper uses [L = 2]); the
     callers check that it is at least 1. *)
 
-val uniform : ?threshold:int -> unit -> Jamming_station.Uniform.factory
+val protocol : ?threshold:int -> unit -> outcome Jamming_sim.Aggregate.protocol
 (** Estimation as a uniform protocol, stepping {!step} from {!init}:
-    reports [Elected] on [Single]; after returning a round it keeps
-    probability 0 (the caller is expected to stop it — used standalone
-    only in tests/experiments).  Requires [threshold >= 1]. *)
+    [Elected] on [Single]; once a round has returned, the state stays
+    [Returned] with probability 0 (the caller is expected to stop it —
+    used standalone only in tests and the lesim CLI).  [Singled] is
+    never a state.  Requires [threshold >= 1]. *)

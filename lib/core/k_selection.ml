@@ -1,9 +1,16 @@
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 module Metrics = Jamming_sim.Metrics
 module Station = Jamming_station.Station
 
 type round_result = { winner_index : int; slots : int }
 type outcome = { rounds : round_result list; total_slots : int; completed : bool }
+
+let round_protocol ~eps ~round ~initial_u =
+  {
+    (Lesk.protocol ~eps ()) with
+    Aggregate.name = Printf.sprintf "k-selection round %d" round;
+    init = initial_u;
+  }
 
 let run ?(warm_start = true) ~k ~n ~eps ~rng ~adversary ~budget ~max_slots () =
   if k < 1 || k > n then invalid_arg "K_selection.run: need 1 <= k <= n";
@@ -13,20 +20,19 @@ let run ?(warm_start = true) ~k ~n ~eps ~rng ~adversary ~budget ~max_slots () =
       { rounds = List.rev acc; total_slots = used; completed = false }
     else begin
       let initial_u = if warm_start then Float.max 0.0 (last_u -. 1.0) else 0.0 in
-      let logic = Lesk.Logic.create ~initial_u ~eps () in
-      let protocol =
-        {
-          Uniform.name = Printf.sprintf "k-selection round %d" round;
-          tx_prob = (fun () -> Lesk.Logic.tx_prob logic);
-          on_state =
-            (fun state ->
-              Lesk.Logic.on_state logic state;
-              if Lesk.Logic.elected logic then Uniform.Elected else Uniform.Continue);
-        }
+      let protocol = round_protocol ~eps ~round ~initial_u in
+      (* Replay the round's u from the slot records: the next round
+         warm-starts from the value it was elected at. *)
+      let u = ref initial_u in
+      let replay (r : Metrics.slot_record) =
+        match protocol.step !u r.state with
+        | Aggregate.Continue u' -> u := u'
+        | Aggregate.Elected -> ()
       in
       let result =
-        Jamming_sim.Uniform_engine.run ~start_slot:used ~n:remaining ~rng ~protocol
-          ~adversary ~budget ~max_slots:(max_slots - used) ()
+        Jamming_sim.Uniform_engine.run ~start_slot:used
+          ~observers:[ Jamming_sim.Observer.of_on_slot replay ]
+          ~n:remaining ~rng ~protocol ~adversary ~budget ~max_slots:(max_slots - used) ()
       in
       let used = used + result.Metrics.slots in
       if not result.Metrics.elected then
@@ -35,7 +41,7 @@ let run ?(warm_start = true) ~k ~n ~eps ~rng ~adversary ~budget ~max_slots () =
         let winner =
           match result.Metrics.leader with Some i -> i | None -> assert false
         in
-        go ~round:(round + 1) ~remaining:(remaining - 1) ~used ~last_u:(Lesk.Logic.u logic)
+        go ~round:(round + 1) ~remaining:(remaining - 1) ~used ~last_u:!u
           ({ winner_index = winner; slots = result.Metrics.slots } :: acc)
     end
   in

@@ -33,6 +33,12 @@ val run :
     [winner_index] is an index into the population remaining at that
     round (the fast engine does not track identities). *)
 
+val round_protocol :
+  eps:float -> round:int -> initial_u:float -> float Jamming_sim.Aggregate.protocol
+(** Round [round]'s description: {!Lesk.protocol} started at
+    [initial_u] instead of 0.  {!run} replays each round's [u] from the
+    slot records to warm-start the next. *)
+
 type weak_cd_outcome = {
   winners : int list;  (** original station ids, in election order *)
   slots : int;

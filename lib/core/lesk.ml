@@ -1,13 +1,8 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
 module Aggregate = Jamming_sim.Aggregate
 
 let config_valid ~eps = eps > 0.0 && eps <= 1.0
 
-(* The one parameter check every LESK form goes through: [eps] in
-   (0, 1] and the collision step denominator [a] (default the paper's
-   [8/ε]) at least 1.  Returns [a]; [where] names the caller in the
-   error message. *)
 let step_denominator ~where ?a ~eps () =
   if not (config_valid ~eps) then invalid_arg (where ^ ": eps must lie in (0, 1]");
   let a = match a with Some v -> v | None -> 8.0 /. eps in
@@ -16,9 +11,8 @@ let step_denominator ~where ?a ~eps () =
 
 let tx_prob u = Float.exp2 (-.u)
 
-(* Every other LESK form (the [Logic] machine, the uniform driver, the
-   closure stations, Notification's machine, the aggregate description,
-   LESU's ladder) steps through this one function, so their [u]
+(* Every engine running [protocol], LESU's ladder and every replica of
+   the u-walk step through this one function, so their [u]
    trajectories agree bit for bit. *)
 let step ~a u = function
   | Channel.Null -> Aggregate.Continue (Float.max (u -. 1.0) 0.0)
@@ -35,28 +29,7 @@ let protocol ?a ~eps () =
     compare = Float.compare;
   }
 
-module Logic = struct
-  type t = { eps : float; a : float; mutable u : float; mutable elected : bool }
-
-  let create ?(initial_u = 0.0) ?a ~eps () =
-    let a = step_denominator ~where:"Lesk.Logic.create" ?a ~eps () in
-    if initial_u < 0.0 then invalid_arg "Lesk.Logic.create: initial_u must be >= 0";
-    { eps; a; u = initial_u; elected = false }
-
-  let eps t = t.eps
-  let a t = t.a
-  let u t = t.u
-  let tx_prob t = tx_prob t.u
-  let elected t = t.elected
-
-  let on_state t state =
-    match step ~a:t.a t.u state with
-    | Aggregate.Continue u -> t.u <- u
-    | Aggregate.Elected -> t.elected <- true
-end
-
-let uniform ?a ~eps () = Aggregate.to_uniform (protocol ?a ~eps ()) ()
-let station ~eps = Uniform.distributed (Aggregate.to_uniform (protocol ~eps ()))
+let station ~eps = Aggregate.distributed (protocol ~eps ())
 let aggregate ?a ~eps () = Aggregate.Packed (protocol ?a ~eps ())
 
 let expected_time_bound ~eps ~n ~window =

@@ -13,6 +13,14 @@
 
 val config_valid : eps:float -> bool
 
+val step_denominator : where:string -> ?a:float -> eps:float -> unit -> float
+(** The one parameter check every use of LESK goes through: [eps] in
+    [(0, 1]] and the collision step denominator [a] (default the
+    paper's [8/ε]) at least 1.  Returns [a]; [where] names the caller
+    in the [Invalid_argument] message.  Replicas of the u-walk
+    ({!Taxonomy}, {!Adaptive_jammers}, experiment F1) read [a] from
+    here and step {!step}. *)
+
 val tx_prob : float -> float
 (** [tx_prob u = 2^−u]. *)
 
@@ -21,55 +29,22 @@ val step :
 (** Algorithm 1's transition on the estimate [u] — the single place it
     is written: [Null] steps to [max (u − 1) 0], [Collision] to
     [u + 1/a], [Single] elects.  Exposed so protocols built from LESK
-    runs ({!Lesu}) step the same code. *)
+    runs ({!Lesu}) and replicas of the u-walk step the same code. *)
 
 val protocol : ?a:float -> eps:float -> unit -> float Jamming_sim.Aggregate.protocol
 (** LESK as a pure description: state [u] starting at 0, {!tx_prob}
     and {!step}.  Requires [0 < eps <= 1]; [a] overrides the collision
     step denominator (default the paper's [8/ε], must be [>= 1]); the
     step-size ablation bench uses it, including the symmetric [a = 1]
-    variant that the adversary can drive to divergence (§2.1).  Every
-    form below is derived from this description or steps through
-    {!step}, and {!Lewk} runs it under {!Notification}. *)
-
-module Logic : sig
-  (** The per-station state machine as a mutable record, for
-      instrumentation and for adversaries that simulate the protocol
-      (the paper's adversary knows the protocol and the channel
-      history).  [on_state] applies {!step}. *)
-
-  type t
-
-  val create : ?initial_u:float -> ?a:float -> eps:float -> unit -> t
-  (** Parameters as in {!protocol}.  [initial_u] (default 0, the
-      paper's choice) lets chained elections warm-start from a previous
-      estimate — used by the {!K_selection} extension. *)
-
-  val eps : t -> float
-
-  val a : t -> float
-  (** The step denominator [a = 8/ε]. *)
-
-  val u : t -> float
-  (** Current estimate of [log₂ n]. *)
-
-  val tx_prob : t -> float
-  (** [2^−u]. *)
-
-  val elected : t -> bool
-
-  val on_state : t -> Jamming_channel.Channel.state -> unit
-  (** Advance on the state of the slot ([Null] / [Single] / [Collision]). *)
-end
-
-val uniform : ?a:float -> eps:float -> Jamming_station.Uniform.factory
-(** [Jamming_sim.Aggregate.to_uniform] of {!protocol}, for the fast
-    engine. *)
+    variant that the adversary can drive to divergence (§2.1).  This
+    one value runs on every engine — the uniform engine, the closure
+    stations below, the counting engine — and {!Lewk} runs it under
+    {!Notification}. *)
 
 val station : eps:float -> Jamming_station.Station.factory
 (** {!protocol} as distributed per-station closures
-    ([Uniform.distributed]) for the exact engine (strong-CD leadership
-    semantics). *)
+    ([Aggregate.distributed]) for the exact engine (strong-CD
+    leadership semantics). *)
 
 val aggregate : ?a:float -> eps:float -> unit -> Jamming_sim.Aggregate.packed
 (** {!protocol}, packed for the population-counting

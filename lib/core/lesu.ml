@@ -1,4 +1,3 @@
-module Uniform = Jamming_station.Uniform
 module Aggregate = Jamming_sim.Aggregate
 
 type config = { c : float; threshold : int }
@@ -70,8 +69,7 @@ let protocol ?(config = default_config) () =
     compare = Stdlib.compare;
   }
 
-let uniform ?config () = Aggregate.to_uniform (protocol ?config ())
-let station ?config () = Uniform.distributed (uniform ?config ())
+let station ?config () = Aggregate.distributed (protocol ?config ())
 let aggregate ?config () = Aggregate.Packed (protocol ?config ())
 
 let expected_time_bound ~eps ~n ~window =

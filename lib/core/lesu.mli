@@ -36,19 +36,17 @@ val protocol : ?config:config -> unit -> state Jamming_sim.Aggregate.protocol
     returns, [t₀] is fixed and the LESK ladder starts, each phase
     stepping {!Lesk.step} with [a = 8/ε_j] for {!phase_duration} slots.
     A [Single] in any stage elects.  Requires [c > 0] and
-    [threshold >= 1].  {!Lewu} runs it under {!Notification}. *)
+    [threshold >= 1].  The same value runs on the uniform engine, the
+    closure stations ({!station}) and the counting engine
+    ({!aggregate}), and {!Lewu} runs it under {!Notification}. *)
 
 val stage : state -> stage
 val t0 : state -> float option
 (** Available once estimation has returned. *)
 
-val uniform : ?config:config -> unit -> Jamming_station.Uniform.factory
-(** [Jamming_sim.Aggregate.to_uniform] of {!protocol}, for the fast
-    engine. *)
-
 val station : ?config:config -> unit -> Jamming_station.Station.factory
-(** {!uniform} as distributed per-station closures for the exact
-    engine. *)
+(** {!protocol} as distributed per-station closures
+    ([Aggregate.distributed]) for the exact engine. *)
 
 val aggregate : ?config:config -> unit -> Jamming_sim.Aggregate.packed
 (** {!protocol}, packed for the population-counting

@@ -66,8 +66,8 @@ type 'c machine = {
   sub_p : float array;  (* its transmission probability *)
   sub_tag : int array;
       (* Which memo entry produced [sub.(i)]: 0 for [init], -1 once [step]
-         returned [Elected], after which the instance is frozen as in
-         [Aggregate.to_uniform].  Equal tags mean one shared state. *)
+         returned [Elected], after which the instance is frozen with its
+         last state.  Equal tags mean one shared state. *)
   memo : 'c entry array;  (* indexed by [entry_of] the perceived state *)
   mutable last_tag : int;
   phase : int array;

@@ -31,8 +31,8 @@
     exact because [step] is pure.  {!pool} drives the machine for a
     whole population and {!station} for one station; they are
     bit-identical per seed.  The test suite keeps a closure-per-station
-    implementation over [Aggregate.to_uniform] as the differential
-    oracle both are compared against. *)
+    implementation, over a closure form of the description of its own,
+    as the differential oracle both are compared against. *)
 
 type phase =
   | Phase_a1  (** running A in C1; leader still undefined *)
@@ -54,9 +54,8 @@ val station :
     stream is split off it).  An instance of [A] starts at [init] at
     every interval restart; once [step] returns [Elected] it is frozen
     for the rest of the interval, keeping its state and transmission
-    probability, as [Aggregate.to_uniform] does.  [on_phase] is called
-    at every phase transition with the station's [id] (used by the
-    example traces and the tests).
+    probability.  [on_phase] is called at every phase transition with
+    the station's [id] (used by the example traces and the tests).
 
     This is the path for runs with lifecycle faults, sensing noise or
     churn, which pools do not take: every [decide] and [observe]

@@ -1,4 +1,5 @@
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
+module Channel = Jamming_channel.Channel
 
 type outcome =
   | Estimate of { round : int; n_hat : float; slots : int }
@@ -12,32 +13,36 @@ let pp_outcome ppf = function
       Format.fprintf ppf "leader elected during estimation after %d slots" slots
   | Exhausted { slots } -> Format.fprintf ppf "no estimate within %d slots" slots
 
-let run ?(threshold = 2) ~n ~rng ~adversary ~budget ~max_slots () =
+let estimator ?(threshold = 2) () =
   if threshold < 1 then invalid_arg "Size_approx.run: threshold must be >= 1";
-  let state = ref (Estimation.Running Estimation.init) in
-  let protocol =
-    {
-      Uniform.name = "SizeApprox";
-      tx_prob =
-        (fun () ->
-          match !state with
-          | Estimation.Running s -> Estimation.tx_prob s
-          | Returned _ | Singled -> 0.0);
-      on_state =
-        (fun channel ->
-          (match !state with
-          | Estimation.Running s -> state := Estimation.step ~threshold s channel
-          | Returned _ | Singled -> ());
-          match !state with
-          | Running _ -> Uniform.Continue
-          | Returned _ | Singled -> Uniform.Elected (* stop the engine; we disambiguate below *));
-    }
+  {
+    Aggregate.name = "SizeApprox";
+    init = Estimation.init;
+    tx_prob = Estimation.tx_prob;
+    step =
+      (fun s channel ->
+        match Estimation.step ~threshold s channel with
+        | Estimation.Running s -> Aggregate.Continue s
+        | Returned _ | Singled -> Elected (* stop the engine; the replay tells which *));
+    compare = Stdlib.compare;
+  }
+
+let run ?(threshold = 2) ~n ~rng ~adversary ~budget ~max_slots () =
+  let protocol = estimator ~threshold () in
+  (* Replay Function 2 from the slot records to learn how it ended. *)
+  let last = ref (Estimation.Running Estimation.init) in
+  let replay (r : Jamming_sim.Metrics.slot_record) =
+    match !last with
+    | Estimation.Running s -> last := Estimation.step ~threshold s r.state
+    | Returned _ | Singled -> ()
   in
   let result =
-    Jamming_sim.Uniform_engine.run ~n ~rng ~protocol ~adversary ~budget ~max_slots ()
+    Jamming_sim.Uniform_engine.run
+      ~observers:[ Jamming_sim.Observer.of_on_slot replay ]
+      ~n ~rng ~protocol ~adversary ~budget ~max_slots ()
   in
   let slots = result.Jamming_sim.Metrics.slots in
-  match !state with
+  match !last with
   | Singled -> Leader_elected { slots }
   | Returned round -> Estimate { round; n_hat = Float.exp2 (Float.exp2 (float_of_int round)); slots }
   | Running _ -> Exhausted { slots }
@@ -66,55 +71,83 @@ let pp_refined ppf = function
         (if leader_elected then ", leader elected en route" else "")
   | Refine_failed { slots } -> Format.fprintf ppf "refinement failed within %d slots" slots
 
-let refine ?(slots_per_probe = 128) ~n ~rng ~adversary ~budget ~max_slots () =
-  if slots_per_probe < 8 then invalid_arg "Size_approx.refine: slots_per_probe must be >= 8";
-  (* State of the probing protocol, advanced from channel feedback. *)
-  let j = ref 1 in
-  let slot_in_probe = ref 0 in
-  let nulls = ref 0 in
-  let freqs = ref [] (* (j, f_j), newest first *) in
-  let finished = ref false in
-  let elected = ref false in
-  (* After the first sign of a plateau, take a few confirmation probes:
-     stopping on the first flat pair underestimates the ceiling c and
-     biases the inversion low. *)
-  let confirmations = ref 0 in
-  let plateau () =
-    match !freqs with
-    | (_, f1) :: (_, f0) :: _ -> f1 >= 0.8 *. f0 && f1 >= 0.05
-    | _ -> false
-  in
-  let protocol =
+type probe = {
+  j : int;  (* current probability level, q_j = 2^-j *)
+  slot_in_probe : int;
+  nulls : int;  (* in the current probe *)
+  freqs : (int * float) list;  (* (j, f_j), newest first *)
+  confirmations : int;
+  finished : bool;
+  elected : bool;  (* a Single was seen on the way *)
+}
+
+(* After the first sign of a plateau, take a few confirmation probes:
+   stopping on the first flat pair underestimates the ceiling c and
+   biases the inversion low. *)
+let plateau = function
+  | (_, f1) :: (_, f0) :: _ -> f1 >= 0.8 *. f0 && f1 >= 0.05
+  | _ -> false
+
+(* A Single is a by-product (a leader!), not a stop signal: the size
+   probe keeps sweeping toward the Null plateau. *)
+let probe_step ~slots_per_probe pr channel =
+  let elected = pr.elected || Channel.equal_state channel Channel.Single in
+  let nulls = if Channel.equal_state channel Channel.Null then pr.nulls + 1 else pr.nulls in
+  let slot_in_probe = pr.slot_in_probe + 1 in
+  if slot_in_probe < slots_per_probe then { pr with slot_in_probe; nulls; elected }
+  else
+    let freqs = (pr.j, float_of_int nulls /. float_of_int slots_per_probe) :: pr.freqs in
+    let confirmations = if plateau freqs then pr.confirmations + 1 else pr.confirmations in
+    let finished = confirmations > 3 || pr.j >= 60 in
     {
-      Uniform.name = "SizeApprox.refine";
-      tx_prob =
-        (fun () -> if !finished then 0.0 else Float.exp2 (-.float_of_int !j));
-      on_state =
-        (fun state ->
-          (* A Single is a by-product (a leader!), not a stop signal:
-             the size probe keeps sweeping toward the Null plateau. *)
-          (match state with
-          | Jamming_channel.Channel.Single -> elected := true
-          | Jamming_channel.Channel.Null -> incr nulls
-          | Jamming_channel.Channel.Collision -> ());
-          begin
-            incr slot_in_probe;
-            if !slot_in_probe >= slots_per_probe then begin
-              freqs := (!j, float_of_int !nulls /. float_of_int slots_per_probe) :: !freqs;
-              slot_in_probe := 0;
-              nulls := 0;
-              if plateau () then incr confirmations;
-              if !confirmations > 3 || !j >= 60 then finished := true else incr j
-            end;
-            if !finished then Uniform.Elected (* stop the engine *) else Uniform.Continue
-          end);
+      j = (if finished then pr.j else pr.j + 1);
+      slot_in_probe = 0;
+      nulls = 0;
+      freqs;
+      confirmations;
+      finished;
+      elected;
     }
+
+let probe_init =
+  {
+    j = 1;
+    slot_in_probe = 0;
+    nulls = 0;
+    freqs = [];
+    confirmations = 0;
+    finished = false;
+    elected = false;
+  }
+
+let prober ?(slots_per_probe = 128) () =
+  if slots_per_probe < 8 then invalid_arg "Size_approx.refine: slots_per_probe must be >= 8";
+  {
+    Aggregate.name = "SizeApprox.refine";
+    init = probe_init;
+    tx_prob = (fun pr -> Float.exp2 (-.float_of_int pr.j));
+    step =
+      (fun pr channel ->
+        let pr = probe_step ~slots_per_probe pr channel in
+        if pr.finished then Aggregate.Elected (* stop the engine *) else Continue pr);
+    compare = Stdlib.compare;
+  }
+
+let refine ?(slots_per_probe = 128) ~n ~rng ~adversary ~budget ~max_slots () =
+  let protocol = prober ~slots_per_probe () in
+  (* Replay the probe from the slot records to read its final tallies. *)
+  let last = ref probe_init in
+  let replay (r : Jamming_sim.Metrics.slot_record) =
+    last := probe_step ~slots_per_probe !last r.state
   in
   let result =
-    Jamming_sim.Uniform_engine.run ~n ~rng ~protocol ~adversary ~budget ~max_slots ()
+    Jamming_sim.Uniform_engine.run
+      ~observers:[ Jamming_sim.Observer.of_on_slot replay ]
+      ~n ~rng ~protocol ~adversary ~budget ~max_slots ()
   in
   let slots = result.Jamming_sim.Metrics.slots in
-  (match !freqs with
+  let { freqs; elected; _ } = !last in
+  (match freqs with
     | [] -> Refine_failed { slots }
     | all_freqs ->
         let c = List.fold_left (fun acc (_, f) -> Float.max acc f) 0.0 all_freqs in
@@ -122,7 +155,7 @@ let refine ?(slots_per_probe = 128) ~n ~rng ~adversary ~budget ~max_slots () =
         else
         (* Pick the probe whose frequency is closest to c/2 in log space
            (best conditioning for the inversion). *)
-        let usable = List.filter (fun (_, f) -> f > 0.0 && f < 0.9 *. c) !freqs in
+        let usable = List.filter (fun (_, f) -> f > 0.0 && f < 0.9 *. c) freqs in
         (match usable with
         | [] -> Refine_failed { slots }
         | _ ->
@@ -141,7 +174,7 @@ let refine ?(slots_per_probe = 128) ~n ~rng ~adversary ~budget ~max_slots () =
               {
                 n_hat;
                 clear_fraction = c;
-                probes = List.length !freqs;
+                probes = List.length freqs;
                 slots;
-                leader_elected = !elected;
+                leader_elected = elected;
               }))

@@ -26,7 +26,13 @@ val run :
   max_slots:int ->
   unit ->
   outcome
-(** Simulate the estimator over [n] stations on the fast engine. *)
+(** Simulate {!estimator} over [n] stations on the uniform engine; the
+    outcome is replayed from the slot records through an observer. *)
+
+val estimator : ?threshold:int -> unit -> Estimation.state Jamming_sim.Aggregate.protocol
+(** Function 2 ({!Estimation.step}) as a description that reports
+    [Elected] when a round returns {e or} a [Single] occurs — either
+    way the estimator is done.  Requires [threshold >= 1]. *)
 
 val within_lemma_2_8_band : round:int -> n:int -> window:int -> bool
 (** Whether [round] lies in [\[log log n − 1, max{log log n, log T} + 1\]]. *)
@@ -69,4 +75,17 @@ val refine :
   max_slots:int ->
   unit ->
   refined
-(** [slots_per_probe] (default 128) trades slots for estimate variance. *)
+(** Runs {!prober} on the uniform engine and inverts the Null
+    frequencies it recorded (replayed from the slot records).
+    [slots_per_probe] (default 128) trades slots for estimate
+    variance. *)
+
+type probe
+(** The prober's state: current level, per-probe tallies, the
+    frequencies recorded so far. *)
+
+val prober : ?slots_per_probe:int -> unit -> probe Jamming_sim.Aggregate.protocol
+(** The probe sweep as a description: transmit with [2^−j] for
+    [slots_per_probe] slots per level [j = 1, 2, …], recording each
+    level's Null frequency, and report [Elected] once the plateau is
+    confirmed (or [j] reaches 60).  Requires [slots_per_probe >= 8]. *)

@@ -9,7 +9,9 @@ let pp_counts ppf c =
   Format.fprintf ppf "IS=%d IC=%d CS=%d CC=%d E=%d R=%d" c.is_ c.ic c.cs c.cc c.e c.r
 
 type t = {
-  lesk : Lesk.Logic.t;  (* replica of the common u-walk *)
+  a : float;
+  mutable walk : float Jamming_sim.Aggregate.outcome;
+      (* replica of the common u-walk: [Continue u] until the Single *)
   u0 : float;
   mutable counts : counts;
 }
@@ -17,35 +19,35 @@ type t = {
 let create ~eps ~n =
   if n < 1 then invalid_arg "Taxonomy.create: n must be >= 1";
   {
-    lesk = Lesk.Logic.create ~eps ();
+    a = Lesk.step_denominator ~where:"Taxonomy.create" ~eps ();
+    walk = Continue 0.0;
     u0 = Float.log2 (float_of_int n);
     counts = { is_ = 0; ic = 0; cs = 0; cc = 0; e = 0; r = 0 };
   }
 
 let on_slot t (rec_ : Metrics.slot_record) =
-  if not (Lesk.Logic.elected t.lesk) then begin
-    let u = Lesk.Logic.u t.lesk in
-    let a = Lesk.Logic.a t.lesk in
-    let low = t.u0 -. Float.log2 (2.0 *. log a) in
-    let high = t.u0 +. (0.5 *. Float.log2 a) in
-    let c = t.counts in
-    let c' =
-      if rec_.Metrics.jammed then { c with e = c.e + 1 }
-      else
-        match rec_.Metrics.state with
-        | Channel.Null ->
-            if u <= low then { c with is_ = c.is_ + 1 }
-            else if u >= high +. 1.0 then { c with cs = c.cs + 1 }
-            else { c with r = c.r + 1 }
-        | Channel.Collision ->
-            if u >= high then { c with ic = c.ic + 1 }
-            else if u <= low then { c with cc = c.cc + 1 }
-            else { c with r = c.r + 1 }
-        | Channel.Single -> { c with r = c.r + 1 }
-    in
-    t.counts <- c';
-    Lesk.Logic.on_state t.lesk rec_.Metrics.state
-  end
+  match t.walk with
+  | Elected -> ()
+  | Continue u ->
+      let low = t.u0 -. Float.log2 (2.0 *. log t.a) in
+      let high = t.u0 +. (0.5 *. Float.log2 t.a) in
+      let c = t.counts in
+      let c' =
+        if rec_.Metrics.jammed then { c with e = c.e + 1 }
+        else
+          match rec_.Metrics.state with
+          | Channel.Null ->
+              if u <= low then { c with is_ = c.is_ + 1 }
+              else if u >= high +. 1.0 then { c with cs = c.cs + 1 }
+              else { c with r = c.r + 1 }
+          | Channel.Collision ->
+              if u >= high then { c with ic = c.ic + 1 }
+              else if u <= low then { c with cc = c.cc + 1 }
+              else { c with r = c.r + 1 }
+          | Channel.Single -> { c with r = c.r + 1 }
+      in
+      t.counts <- c';
+      t.walk <- Lesk.step ~a:t.a u rec_.Metrics.state
 
 let counts t = t.counts
 

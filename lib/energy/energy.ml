@@ -94,50 +94,6 @@ let summary_of_json json =
       awake_bins;
     }
 
-(* Build a summary from per-station integer counts.  [awake i] must lie
-   in [0, slots] and dominate [tx i]; the derived quantities (listen,
-   sleep, histogram, median) follow from the conservation laws
-   awake = tx + listen and awake + sleep = slots. *)
-let of_per_station ~n ~slots ~tx ~awake =
-  let awake_counts = Array.init n awake in
-  let tx_total = ref 0 and awake_total = ref 0 and max_awake = ref 0 in
-  let bins = Array.make hist_bins 0 in
-  for i = 0 to n - 1 do
-    let a = awake_counts.(i) in
-    awake_total := !awake_total + a;
-    tx_total := !tx_total + tx i;
-    if a > !max_awake then max_awake := a;
-    let b = bin_of a in
-    bins.(b) <- bins.(b) + 1
-  done;
-  let median_awake =
-    if n = 0 then 0.0
-    else begin
-      let sorted = Array.copy awake_counts in
-      Array.sort compare sorted;
-      if n land 1 = 1 then float_of_int sorted.(n / 2)
-      else float_of_int (sorted.((n / 2) - 1) + sorted.(n / 2)) /. 2.0
-    end
-  in
-  let sparse = ref [] in
-  for b = hist_bins - 1 downto 0 do
-    if bins.(b) > 0 then sparse := (b, bins.(b)) :: !sparse
-  done;
-  let awake_bins = !sparse in
-  let awake_total = float_of_int !awake_total in
-  let tx_total = float_of_int !tx_total in
-  {
-    stations = n;
-    slots;
-    awake_total;
-    tx_total;
-    listen_total = awake_total -. tx_total;
-    sleep_total = (float_of_int n *. float_of_int slots) -. awake_total;
-    max_awake = !max_awake;
-    median_awake;
-    awake_bins;
-  }
-
 (* Grouped summary for the counting engines, where stations are
    exchangeable within a class: [groups] lists [(awake, count)] pairs
    covering the population (counts must be positive and sum to [n]).
@@ -184,6 +140,21 @@ let of_groups ~n ~slots ~tx_total ~groups =
     median_awake;
     awake_bins = !sparse;
   }
+
+(* Build a summary from per-station integer counts by counting the
+   awake values into [(awake, count)] groups: extra memory grows with
+   the number of distinct awake values, never with [n] or [slots].
+   [awake i] must lie in [0, slots] and dominate [tx i]. *)
+let of_per_station ~n ~slots ~tx ~awake =
+  let counts = Hashtbl.create 64 in
+  let tx_total = ref 0 in
+  for i = 0 to n - 1 do
+    let a = awake i in
+    Hashtbl.replace counts a (1 + Option.value (Hashtbl.find_opt counts a) ~default:0);
+    tx_total := !tx_total + tx i
+  done;
+  of_groups ~n ~slots ~tx_total:(float_of_int !tx_total)
+    ~groups:(Hashtbl.fold (fun a c acc -> (a, c) :: acc) counts [])
 
 (* O(1) summary for the uniform engine, where every station is awake
    for the whole run and the transmission total may be fractional (the

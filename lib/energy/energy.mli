@@ -45,8 +45,11 @@ val summary_of_json : Jamming_telemetry.Json.t -> (summary, string) result
 val of_per_station :
   n:int -> slots:int -> tx:(int -> int) -> awake:(int -> int) -> summary
 (** Build a summary from per-station counts (used by the pooled engine,
-    whose pools track their own awake slots).  [awake i] must lie in
-    [[0, slots]] and be at least [tx i]. *)
+    whose pools track their own awake slots, and by {!Meter}): the
+    awake counts are tallied into [(awake, count)] groups and passed to
+    {!of_groups}, so extra memory depends only on the number of
+    distinct awake values.  [awake i] must lie in [[0, slots]] and be
+    at least [tx i]. *)
 
 val of_groups :
   n:int -> slots:int -> tx_total:float -> groups:(int * int) list -> summary

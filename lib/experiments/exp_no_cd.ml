@@ -27,10 +27,11 @@ let run scale out =
   let ppf = Output.ppf out in
   let reps = match scale with Registry.Quick -> 12 | Registry.Full -> 40 in
   let n = 64 and eps = 0.5 and window = 32 and max_slots = 100_000 in
+  let sawtooth = Jamming_sim.Aggregate.distributed Jamming_baselines.Nakano_olariu.sawtooth in
   let cells =
     [
-      ("sawtooth", "no-CD", Channel.No_cd, Jamming_baselines.Nakano_olariu.station_sawtooth (), Specs.no_jamming);
-      ("sawtooth", "no-CD", Channel.No_cd, Jamming_baselines.Nakano_olariu.station_sawtooth (), Specs.greedy);
+      ("sawtooth", "no-CD", Channel.No_cd, sawtooth, Specs.no_jamming);
+      ("sawtooth", "no-CD", Channel.No_cd, sawtooth, Specs.greedy);
       ("LESK(0.5)", "no-CD", Channel.No_cd, Jamming_core.Lesk.station ~eps, Specs.greedy);
       ("LEWK", "weak-CD", Channel.Weak_cd, Jamming_core.Lewk.station ~eps (), Specs.greedy);
       ("LEWK", "no-CD", Channel.No_cd, Jamming_core.Lewk.station ~eps (), Specs.greedy);

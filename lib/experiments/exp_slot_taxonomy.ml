@@ -40,7 +40,7 @@ let run scale out =
           Jamming_sim.Uniform_engine.run
             ~observers:[ Jamming_sim.Observer.of_on_slot (Core.Taxonomy.on_slot tracker) ]
             ~n ~rng
-            ~protocol:(Core.Lesk.uniform ~eps ())
+            ~protocol:(Core.Lesk.protocol ~eps ())
             ~adversary:(Jamming_adversary.Adversary.greedy ())
             ~budget ~max_slots:1_000_000 ()
         in

@@ -4,11 +4,13 @@ module Budget = Jamming_adversary.Budget
 
 (* One election, returning the u value at every slot. *)
 let u_trajectory ~n ~eps ~window ~adversary ~seed =
-  let replica = Core.Lesk.Logic.create ~eps () in
-  let points = ref [] in
+  let a = Core.Lesk.step_denominator ~where:"Exp_u_walk" ~eps () in
+  let u = ref 0.0 and points = ref [] in
   let on_slot (r : Jamming_sim.Metrics.slot_record) =
-    points := (float_of_int r.Jamming_sim.Metrics.slot, Core.Lesk.Logic.u replica) :: !points;
-    Core.Lesk.Logic.on_state replica r.Jamming_sim.Metrics.state
+    points := (float_of_int r.Jamming_sim.Metrics.slot, !u) :: !points;
+    match Core.Lesk.step ~a !u r.Jamming_sim.Metrics.state with
+    | Jamming_sim.Aggregate.Continue u' -> u := u'
+    | Elected -> ()
   in
   let setup = { Runner.n; eps; window; max_slots = 100_000 } in
   let result =

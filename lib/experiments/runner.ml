@@ -125,9 +125,11 @@ let run ?(observers = []) ?(energy = false) ~engine setup (adversary : Specs.adv
   match engine with
   | Uniform protocol ->
       let rng = Prng.create ~seed in
-      let proto = protocol.Specs.p_make ~n:setup.n ~window:setup.window () in
+      let (Jamming_sim.Aggregate.Packed protocol) =
+        protocol.Specs.p_make ~n:setup.n ~window:setup.window
+      in
       let adv = make_adversary adversary setup ~seed in
-      Jamming_sim.Uniform_engine.run ~energy ~observers ~n:setup.n ~rng ~protocol:proto
+      Jamming_sim.Uniform_engine.run ~energy ~observers ~n:setup.n ~rng ~protocol
         ~adversary:adv ~budget ~max_slots:setup.max_slots ()
   | Exact { cd; factory; name = _ } ->
       let rng = Prng.create ~seed in
@@ -143,8 +145,9 @@ let run ?(observers = []) ?(energy = false) ~engine setup (adversary : Specs.adv
       let plans = Faults.Config.sample_plans faults ~rng:plan_rng ~n:setup.n in
       let stations = Faults.Config.wrap_stations plans stations in
       let adv = make_adversary adversary setup ~seed in
-      Jamming_sim.Engine.run ?meter:(meter ()) ~observers ~faults:injection ~monitor ~cd
-        ~adversary:adv ~budget ~max_slots:setup.max_slots ~stations ()
+      Jamming_sim.Engine.run ?meter:(meter ())
+        ~observers:(Monitor.observer monitor :: observers)
+        ~faults:injection ~cd ~adversary:adv ~budget ~max_slots:setup.max_slots ~stations ()
   | Aggregate { cd; proto = Jamming_sim.Aggregate.Packed protocol; name = _ } ->
       let rng = Prng.create ~seed in
       let adv = make_adversary adversary setup ~seed in
@@ -468,8 +471,10 @@ let churn_parts ~where = function
         cd = Channel.Strong_cd;
         station =
           (fun setup ->
-            Jamming_station.Uniform.distributed
-              (p.Specs.p_make ~n:setup.n ~window:setup.window));
+            let (Jamming_sim.Aggregate.Packed protocol) =
+              p.Specs.p_make ~n:setup.n ~window:setup.window
+            in
+            Jamming_sim.Aggregate.distributed protocol);
         faults = Faults.Config.none;
         monitor_checks = None;
       }

@@ -1,11 +1,9 @@
 module Core = Jamming_core
 module Baselines = Jamming_baselines
 module Adversary = Jamming_adversary.Adversary
+module Aggregate = Jamming_sim.Aggregate
 
-type protocol = {
-  p_name : string;
-  p_make : n:int -> window:int -> Jamming_station.Uniform.factory;
-}
+type protocol = { p_name : string; p_make : n:int -> window:int -> Aggregate.packed }
 
 type adversary = {
   a_name : string;
@@ -15,41 +13,40 @@ type adversary = {
 let lesk ~eps =
   {
     p_name = Printf.sprintf "LESK(%.2g)" eps;
-    p_make = (fun ~n:_ ~window:_ () -> Core.Lesk.uniform ~eps ());
+    p_make = (fun ~n:_ ~window:_ -> Core.Lesk.aggregate ~eps ());
   }
 
 let lesk_with_a ~eps ~a =
   {
     p_name = Printf.sprintf "LESK(%.2g,a=%.3g)" eps a;
-    p_make = (fun ~n:_ ~window:_ -> Core.Lesk.uniform ~a ~eps);
+    p_make = (fun ~n:_ ~window:_ -> Core.Lesk.aggregate ~a ~eps ());
   }
 
 let lesu ?config () =
-  { p_name = "LESU"; p_make = (fun ~n:_ ~window:_ -> Core.Lesu.uniform ?config ()) }
+  { p_name = "LESU"; p_make = (fun ~n:_ ~window:_ -> Core.Lesu.aggregate ?config ()) }
 
-let estimation =
-  { p_name = "Estimation"; p_make = (fun ~n:_ ~window:_ -> Core.Estimation.uniform ()) }
+(* A parameterless description serves every run as it is. *)
+let fixed p_name p = { p_name; p_make = (fun ~n:_ ~window:_ -> Aggregate.Packed p) }
+
+let estimation = fixed "Estimation" (Core.Estimation.protocol ())
+let willard = fixed "Willard" Baselines.Willard.protocol
+let sawtooth = fixed "NO-sawtooth" Baselines.Nakano_olariu.sawtooth
+let geometric_sweep = fixed "NO-geometric" Baselines.Nakano_olariu.geometric_sweep
+let backoff = fixed "backoff" Baselines.Backoff.protocol
 
 let arss =
   {
     p_name = "ARSS-MAC";
     p_make =
-      (fun ~n ~window -> Baselines.Arss_mac.uniform (Baselines.Arss_mac.config ~n ~window));
+      (fun ~n ~window ->
+        Aggregate.Packed (Baselines.Arss_mac.protocol (Baselines.Arss_mac.config ~n ~window)));
   }
 
-let willard = { p_name = "Willard"; p_make = (fun ~n:_ ~window:_ -> Baselines.Willard.uniform ()) }
-
-let sawtooth =
-  { p_name = "NO-sawtooth"; p_make = (fun ~n:_ ~window:_ -> Baselines.Nakano_olariu.sawtooth ()) }
-
-let geometric_sweep =
+let known_n =
   {
-    p_name = "NO-geometric";
-    p_make = (fun ~n:_ ~window:_ -> Baselines.Nakano_olariu.geometric_sweep ());
+    p_name = "known-n";
+    p_make = (fun ~n ~window:_ -> Aggregate.Packed (Baselines.Backoff.known_n ~n));
   }
-
-let backoff = { p_name = "backoff"; p_make = (fun ~n:_ ~window:_ -> Baselines.Backoff.uniform ()) }
-let known_n = { p_name = "known-n"; p_make = (fun ~n ~window:_ -> Baselines.Backoff.known_n ~n) }
 
 let no_jamming =
   { a_name = "none"; a_make = (fun ~seed:_ ~n:_ ~eps:_ ~window:_ -> Adversary.none) }

@@ -1,16 +1,18 @@
 (** Named protocol and adversary constructors shared by the experiment
     registry, the benchmark harness and the CLI binaries.
 
-    A spec closes over nothing run-specific: instantiating it with a
-    {!Runner.setup} yields fresh per-run state, so replications are
-    independent. *)
+    A spec closes over nothing run-specific: a protocol spec yields a
+    pure description ({!Jamming_sim.Aggregate.protocol}), which holds
+    no state, and an adversary spec yields fresh per-run state, so
+    replications are independent. *)
 
 type protocol = {
   p_name : string;
-  p_make : n:int -> window:int -> Jamming_station.Uniform.factory;
-      (** Some baselines legitimately receive global knowledge ([n] for
-          the omniscient reference, [n] and [T] for ARSS's γ); the
-          paper's own protocols ignore both arguments. *)
+  p_make : n:int -> window:int -> Jamming_sim.Aggregate.packed;
+      (** The protocol's pure description for a run.  Some baselines
+          legitimately receive global knowledge ([n] for the omniscient
+          reference, [n] and [T] for ARSS's γ); the paper's own
+          protocols ignore both arguments. *)
 }
 
 type adversary = {

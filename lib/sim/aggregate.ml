@@ -3,6 +3,7 @@ module Adversary = Jamming_adversary.Adversary
 module Budget = Jamming_adversary.Budget
 module Sample = Jamming_prng.Sample
 module Prng = Jamming_prng.Prng
+module Station = Jamming_station.Station
 
 type 'c outcome = Continue of 'c | Elected
 
@@ -18,22 +19,25 @@ type packed = Packed : 'c protocol -> packed
 
 let name (Packed p) = p.name
 
-let to_uniform p () =
-  let state = ref p.init and elected = ref false in
+let distributed p ~id ~rng =
+  let state = ref p.init in
+  let status = ref Station.Undecided and finished = ref false in
+  let decide ~slot:_ =
+    if Prng.bool rng ~p:(p.tx_prob !state) then Station.Transmit else Station.Listen
+  in
+  let observe ~slot:_ ~perceived ~transmitted =
+    match p.step !state perceived with
+    | Continue s -> state := s
+    | Elected ->
+        status := if transmitted then Station.Leader else Station.Non_leader;
+        finished := true
+  in
   {
-    Jamming_station.Uniform.name = p.name;
-    tx_prob = (fun () -> p.tx_prob !state);
-    on_state =
-      (fun channel ->
-        if !elected then Jamming_station.Uniform.Elected
-        else
-          match p.step !state channel with
-          | Continue s ->
-              state := s;
-              Jamming_station.Uniform.Continue
-          | Elected ->
-              elected := true;
-              Jamming_station.Uniform.Elected);
+    Station.id;
+    decide;
+    observe;
+    status = (fun () -> !status);
+    finished = (fun () -> !finished);
   }
 
 (* Sort by protocol order and fuse classes that landed on the same

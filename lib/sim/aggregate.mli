@@ -31,7 +31,7 @@
 type 'c outcome =
   | Continue of 'c  (** keep running in (possibly new) state ['c] *)
   | Elected  (** station terminates this slot; its status follows
-                 [Uniform.distributed]: Leader iff it transmitted *)
+                 {!distributed}: Leader iff it transmitted *)
 
 type 'c protocol = {
   name : string;
@@ -43,10 +43,14 @@ type 'c protocol = {
       (** total order on states; equal states are fused into one class,
           so it must identify states with identical future behaviour *)
 }
-(** A pure description of a uniform-phase protocol.  Unlike
-    {!Jamming_station.Uniform.t} closures, a value of this type carries
-    no hidden mutable state, so one description drives the whole
-    population. *)
+(** A pure description of a uniform protocol — the one form every
+    protocol in the library is written in.  A value carries no hidden
+    mutable state, so one description drives a whole population: the
+    uniform engine ({!Uniform_engine.run}), the closure stations
+    ({!distributed}), this counting engine ({!run}) and the weak-CD
+    Notification machine all step the same value.  An engine stops
+    stepping a station (or a class) at the [Elected] its [step]
+    returns. *)
 
 type packed = Packed : 'c protocol -> packed
 (** Existential wrapper so heterogeneous protocols share one engine
@@ -54,14 +58,15 @@ type packed = Packed : 'c protocol -> packed
 
 val name : packed -> string
 
-val to_uniform : 'c protocol -> Jamming_station.Uniform.factory
-(** The description as a {!Jamming_station.Uniform.t} driver: each
-    instance holds its state in a ref, reads [tx_prob] off it and
-    advances it with [step].  After [step] returns [Elected] the state
-    is left as it was and every later [on_state] reports [Elected]
-    again.  This is how the uniform engine and (through
-    [Uniform.distributed]) the closure stations run a protocol written
-    once as a pure description. *)
+val distributed : 'c protocol -> Jamming_station.Station.factory
+(** The truly distributed implementation, for the exact engine: every
+    station holds a private copy of the state, advances it with [step]
+    on its {e own} perceived channel state, and flips its own coin with
+    [tx_prob].  In strong-CD all copies stay equal.  When [step]
+    returns [Elected] the station terminates, as [Leader] if it
+    transmitted in that slot and as [Non_leader] otherwise.  (In
+    weak-CD a transmitter never perceives [Single]; use
+    [Jamming_core.Notification] to close that gap.) *)
 
 val run :
   ?start_slot:int ->

@@ -8,13 +8,6 @@ module Energy = Jamming_energy.Energy
 let make_stations ~n ~rng factory =
   Array.init n (fun id -> factory ~id ~rng:(Jamming_prng.Prng.split rng))
 
-(* The [?monitor] argument is folded into the observer list, ahead of
-   the caller's observers — the notification order the pre-observer
-   engine used. *)
-let assemble_observers ?monitor observers =
-  let obs = match monitor with None -> observers | Some mon -> Monitor.observer mon :: observers in
-  Array.of_list obs
-
 (* Shared epilogue: final statuses, leader identification, result
    construction and observer notification.  [leader = Some _] only when
    the election actually completed with a unique leader; a run cut off
@@ -59,11 +52,11 @@ let check_meter ?meter ~n where =
       invalid_arg (Printf.sprintf "%s: meter size %d <> population %d" where (Energy.Meter.n m) n)
   | Some _ | None -> ()
 
-let run ?(start_slot = 0) ?faults ?meter ?monitor ?(observers = []) ~cd ~adversary
-    ~budget ~max_slots ~stations () =
+let run ?(start_slot = 0) ?faults ?meter ?(observers = []) ~cd ~adversary ~budget
+    ~max_slots ~stations () =
   let n = Array.length stations in
   check_meter ?meter ~n "Engine.run";
-  let obs = assemble_observers ?monitor observers in
+  let obs = Array.of_list observers in
   let observed = Array.length obs > 0 in
   let needs_leaders = Array.exists (fun o -> o.Observer.needs_leaders) obs in
   let actions = Array.make n Station.Listen in
@@ -211,11 +204,11 @@ let run ?(start_slot = 0) ?faults ?meter ?monitor ?(observers = []) ~cd ~adversa
    pool (no [Sleep] action ever reaches the engine), so metered runs
    read per-station awake counts back from the pool instead of meter
    events. *)
-let run_pool ?(start_slot = 0) ?meter ?monitor ?(observers = []) ~cd ~adversary ~budget
+let run_pool ?(start_slot = 0) ?meter ?(observers = []) ~cd ~adversary ~budget
     ~max_slots ~pool () =
   let n = pool.Station.pool_size in
   check_meter ?meter ~n "Engine.run_pool";
-  let obs = assemble_observers ?monitor observers in
+  let obs = Array.of_list observers in
   let observed = Array.length obs > 0 in
   let needs_leaders = Array.exists (fun o -> o.Observer.needs_leaders) obs in
   let actions = Array.make n Station.Listen in

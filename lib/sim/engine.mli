@@ -24,7 +24,6 @@ val run :
   ?start_slot:int ->
   ?faults:Jamming_faults.Injection.t ->
   ?meter:Jamming_energy.Energy.Meter.t ->
-  ?monitor:Monitor.t ->
   ?observers:Observer.t list ->
   cd:Jamming_channel.Channel.cd_model ->
   adversary:Jamming_adversary.Adversary.t ->
@@ -60,10 +59,8 @@ val run :
     bit-identical.  With no observers the engine skips building slot
     records altogether.
 
-    [monitor] is a convenience: it is folded into the observer list as
-    [Monitor.observer mon], notified before [observers].  A bare
-    per-slot callback belongs in [observers], wrapped with
-    {!Observer.of_on_slot}.
+    An invariant {!Monitor} attaches as [Monitor.observer mon], and a
+    bare per-slot callback as {!Observer.of_on_slot}.
 
     [meter] turns on energy accounting (DESIGN.md §16): the engine
     reports transmissions, sleep intervals and terminations into the
@@ -82,7 +79,6 @@ val run :
 val run_pool :
   ?start_slot:int ->
   ?meter:Jamming_energy.Energy.Meter.t ->
-  ?monitor:Monitor.t ->
   ?observers:Observer.t list ->
   cd:Jamming_channel.Channel.cd_model ->
   adversary:Jamming_adversary.Adversary.t ->

@@ -1,12 +1,11 @@
 module Channel = Jamming_channel.Channel
 module Adversary = Jamming_adversary.Adversary
 module Budget = Jamming_adversary.Budget
-module Uniform = Jamming_station.Uniform
 module Sample = Jamming_prng.Sample
 module Prng = Jamming_prng.Prng
 
-let run ?(start_slot = 0) ?(energy = false) ?(observers = []) ~n ~rng ~protocol
-    ~adversary ~budget ~max_slots () =
+let run ?(start_slot = 0) ?(energy = false) ?(observers = []) ~n ~rng
+    ~(protocol : _ Aggregate.protocol) ~adversary ~budget ~max_slots () =
   if n < 1 then invalid_arg "Uniform_engine.run: need n >= 1";
   let obs = Array.of_list observers in
   let observed = Array.length obs > 0 in
@@ -14,13 +13,14 @@ let run ?(start_slot = 0) ?(energy = false) ?(observers = []) ~n ~rng ~protocol
   let nulls = ref 0 and singles = ref 0 and collisions = ref 0 in
   let transmissions = ref 0.0 in
   let slot = ref 0 in
+  let current = ref protocol.init in
   let elected = ref false in
   while (not !elected) && !slot < max_slots do
     let t = start_slot + !slot in
     let can_jam = Budget.can_jam budget in
     let jam = can_jam && adversary.Adversary.wants_jam ~slot:t ~can_jam in
     Budget.advance budget ~jam;
-    let p = protocol.Uniform.tx_prob () in
+    let p = protocol.tx_prob !current in
     if not (p >= 0.0 && p <= 1.0) then
       invalid_arg "Uniform_engine.run: protocol emitted a probability outside [0, 1]";
     transmissions := !transmissions +. (float_of_int n *. p);
@@ -34,9 +34,9 @@ let run ?(start_slot = 0) ?(energy = false) ?(observers = []) ~n ~rng ~protocol
     | Channel.Null -> incr nulls
     | Channel.Single -> incr singles
     | Channel.Collision -> incr collisions);
-    (match protocol.Uniform.on_state state with
-    | Uniform.Continue -> ()
-    | Uniform.Elected -> elected := true);
+    (match protocol.step !current state with
+    | Aggregate.Continue c -> current := c
+    | Aggregate.Elected -> elected := true);
     adversary.Adversary.notify ~slot:t ~jammed:jam ~state;
     if observed then begin
       (* Per-station statuses don't exist on this engine, so the leader

@@ -12,13 +12,15 @@ val run :
   ?observers:Observer.t list ->
   n:int ->
   rng:Jamming_prng.Prng.t ->
-  protocol:Jamming_station.Uniform.t ->
+  protocol:'c Aggregate.protocol ->
   adversary:Jamming_adversary.Adversary.t ->
   budget:Jamming_adversary.Budget.t ->
   max_slots:int ->
   unit ->
   Metrics.result
-(** Runs until the protocol reports [Elected] or [max_slots] elapse.
+(** Runs the description from [init] — one [tx_prob] and one [step]
+    call per slot, on the true channel state — until [step] returns
+    [Elected] or [max_slots] elapse.
     Stations flip their coins whether or not the slot is jammed (as in
     the exact engine), but a jammed slot always resolves to [Collision].
     The leader, when elected, is a uniformly random station id.

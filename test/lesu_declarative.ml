@@ -27,7 +27,7 @@ let lesk_ladder ~t0 =
           Schedule.timeboxed
             ~label:(Printf.sprintf "lesk(i=%d,j=%d)" i j)
             ~duration:(fun () -> Lesu.phase_duration ~t0:!t0 ~i ~j)
-            (Lesk.uniform ~eps:(Lesu.eps_guess j))))
+            (Closure.to_uniform (Lesk.protocol ~eps:(Lesu.eps_guess j) ()))))
 
 let uniform ?on_phase ?(config = Lesu.default_config) () () =
   if not (config.Lesu.c > 0.0) then invalid_arg "Lesu_declarative.uniform: c must be positive";

@@ -13,4 +13,4 @@ val uniform :
   ?on_phase:(string -> unit) ->
   ?config:Jamming_core.Lesu.config ->
   unit ->
-  Jamming_station.Uniform.factory
+  Closure.factory

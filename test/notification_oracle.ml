@@ -9,7 +9,6 @@
 
 module Channel = Jamming_channel.Channel
 module Station = Jamming_station.Station
-module Uniform = Jamming_station.Uniform
 module Prng = Jamming_prng.Prng
 module Notification = Jamming_core.Notification
 module Intervals = Jamming_core.Intervals
@@ -29,10 +28,10 @@ let sub_of_uniform factory ~rng =
   {
     sub_decide =
       (fun () ->
-        let p = logic.Uniform.tx_prob () in
+        let p = logic.Closure.tx_prob () in
         if Prng.bool rng ~p then Station.Transmit else Station.Listen);
     sub_observe =
-      (fun ~perceived ~transmitted:_ -> ignore (logic.Uniform.on_state perceived));
+      (fun ~perceived ~transmitted:_ -> ignore (logic.Closure.on_state perceived));
   }
 
 (* Re-exported so the closure below names the phases unqualified. *)
@@ -140,9 +139,8 @@ let station ?on_phase factory ~id ~rng =
   let finished () = match !phase with Phase_done _ -> true | _ -> false in
   { Station.id; decide; observe; status; finished }
 
-(* [A] given as a pure description, run through its uniform driver. *)
-let of_protocol ?on_phase proto =
-  station ?on_phase (sub_of_uniform (Jamming_sim.Aggregate.to_uniform proto))
+(* [A] given as a pure description, run through its closure form. *)
+let of_protocol ?on_phase proto = station ?on_phase (sub_of_uniform (Closure.to_uniform proto))
 
 let lewk ?on_phase ~eps () = of_protocol ?on_phase (Jamming_core.Lesk.protocol ~eps ())
 let lewu ?on_phase ?config () = of_protocol ?on_phase (Jamming_core.Lesu.protocol ?config ())

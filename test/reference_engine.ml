@@ -19,11 +19,9 @@ module Observer = Jamming_sim.Observer
 
 let is_leader s = Station.equal_status (s.Station.status ()) Station.Leader
 
-let run ?faults ?meter ?monitor ?(observers = []) ~cd ~adversary ~budget ~max_slots
-    ~stations () =
+let run ?faults ?meter ?(observers = []) ~cd ~adversary ~budget ~max_slots ~stations () =
   let n = Array.length stations in
-  let monitor = Option.map Jamming_sim.Monitor.observer monitor in
-  let obs = Array.of_list (Option.to_list monitor @ observers) in
+  let obs = Array.of_list observers in
   let needs_leaders = Array.exists (fun o -> o.Observer.needs_leaders) obs in
   let actions = Array.make n Station.Listen in
   let tx_counts = Array.make n 0 in

@@ -1,5 +1,4 @@
 module Channel = Jamming_channel.Channel
-module Uniform = Jamming_station.Uniform
 
 type step = Continue | Elected | Phase_done
 
@@ -18,12 +17,12 @@ let timeboxed ~label ~duration factory () =
   let remaining = ref n in
   {
     label;
-    tx_prob = (fun () -> logic.Uniform.tx_prob ());
+    tx_prob = (fun () -> logic.Closure.tx_prob ());
     on_state =
       (fun state ->
-        match logic.Uniform.on_state state with
-        | Uniform.Elected -> Elected
-        | Uniform.Continue ->
+        match logic.Closure.on_state state with
+        | Closure.Elected -> Elected
+        | Closure.Continue ->
             decr remaining;
             if !remaining <= 0 then Phase_done else Continue);
   }
@@ -49,7 +48,7 @@ let to_uniform ?(on_phase = fun _ -> ()) ~name schedule () =
   in
   let state = ref (start schedule) in
   {
-    Uniform.name;
+    Closure.name;
     tx_prob =
       (fun () ->
         match !state with
@@ -58,14 +57,14 @@ let to_uniform ?(on_phase = fun _ -> ()) ~name schedule () =
     on_state =
       (fun st ->
         match !state with
-        | Exhausted | Over -> Uniform.Continue
+        | Exhausted | Over -> Closure.Continue
         | Running (phase, rest) -> (
             match phase.on_state st with
-            | Continue -> Uniform.Continue
+            | Continue -> Closure.Continue
             | Elected ->
                 state := Over;
-                Uniform.Elected
+                Closure.Elected
             | Phase_done ->
                 state := start rest;
-                Uniform.Continue));
+                Closure.Continue));
   }

@@ -25,7 +25,7 @@ type t = (unit -> phase) Seq.t
 (** A (possibly infinite) lazy stream of phase constructors; each is
     called exactly once, when its phase begins. *)
 
-val timeboxed : label:string -> duration:(unit -> int) -> Jamming_station.Uniform.factory -> unit -> phase
+val timeboxed : label:string -> duration:(unit -> int) -> Closure.factory -> unit -> phase
 (** Run a fresh instance of a uniform protocol for [duration ()] slots
     (evaluated when the phase starts, hence able to read earlier
     results); ends with [Phase_done], or [Elected] if the protocol
@@ -36,7 +36,7 @@ val repeat_indexed : (int -> t) -> t
 (** [repeat_indexed f] is the concatenation of [f 1, f 2, f 3, …]. *)
 
 val to_uniform :
-  ?on_phase:(string -> unit) -> name:string -> t -> Jamming_station.Uniform.factory
+  ?on_phase:(string -> unit) -> name:string -> t -> Closure.factory
 (** Compile a schedule into a uniform protocol.  When the stream is
     exhausted the protocol goes silent ([tx_prob = 0]) and never elects.
     A current phase's [Elected] ends the whole run.  [on_phase] fires

@@ -5,9 +5,9 @@
      the slot, so election times are distributionally identical to the
      per-station exact engine (KS over hundreds of seeds — per-station
      RNG streams necessarily differ, so never bitwise);
-   - the pure protocol descriptions (Lesk.aggregate, Lesu.aggregate)
-     agree transition for transition with Lesk.Logic and with the
-     declarative LESU oracle;
+   - the pure protocol descriptions agree transition for transition
+     with Algorithm 1 written out here (LESK) and with the declarative
+     LESU oracle, and every description the library ships is pure;
    - aggregate cells are first-class citizens of the Pool/Store
      machinery: jobs-invariant, cacheable, and churn-rejecting. *)
 
@@ -86,36 +86,42 @@ let test_trichotomy_statistics_match () =
         (Float.abs (a -. b) <= 0.05))
     (fractions agg) (fractions exact)
 
-(* --- pure protocol descriptions vs Lesk.Logic and the LESU oracle --- *)
+(* --- pure protocol descriptions vs their oracles --- *)
 
 let state_of_int = function
   | 0 -> Channel.Null
   | 1 -> Channel.Single
   | _ -> Channel.Collision
 
-(* Drive the pure description and the reference Logic on one shared
-   perceived-state sequence; transmit probabilities and election status
-   must stay bit-identical the whole way. *)
-let prop_pure_lesk_mirrors_logic =
-  qtest ~count:300 "Lesk.aggregate mirrors Lesk.Logic"
+(* Drive LESK's description and Algorithm 1 as the paper states it
+   (transmit with 2^-u; Null: u <- max(u - 1, 0); Collision:
+   u <- u + 1/a with a = 8/eps; Single elects) on one shared
+   perceived-state sequence; transmit probabilities must stay
+   bit-identical and both must elect on the same step. *)
+let prop_pure_lesk_mirrors_algorithm_1 =
+  qtest ~count:300 "Lesk.protocol mirrors the paper"
     QCheck.(pair (float_range 0.05 1.0) (list_of_size Gen.(0 -- 300) (int_range 0 2)))
     (fun (eps, states) ->
-      match Lesk.aggregate ~eps () with
-      | Aggregate.Packed p ->
-          let logic = Lesk.Logic.create ~eps () in
-          let rec go state = function
-            | [] -> true
-            | s :: rest ->
-                let s = state_of_int s in
-                Float.equal (p.Aggregate.tx_prob state) (Lesk.Logic.tx_prob logic)
-                &&
-                (Lesk.Logic.on_state logic s;
-                 match p.Aggregate.step state s with
-                 | Aggregate.Elected -> Lesk.Logic.elected logic
-                 | Aggregate.Continue state' ->
-                     (not (Lesk.Logic.elected logic)) && go state' rest)
-          in
-          go p.Aggregate.init states)
+      let p = Lesk.protocol ~eps () in
+      let a = 8.0 /. eps in
+      let rec go state u = function
+        | [] -> true
+        | s :: rest -> (
+            let s = state_of_int s in
+            Int64.equal
+              (Int64.bits_of_float (p.Aggregate.tx_prob state))
+              (Int64.bits_of_float (Float.exp2 (-.u)))
+            &&
+            match (p.Aggregate.step state s, s) with
+            | Aggregate.Elected, Channel.Single -> true
+            | Aggregate.Continue state', Channel.Null ->
+                go state' (Float.max (u -. 1.0) 0.0) rest
+            | Aggregate.Continue state', Channel.Collision -> go state' (u +. (1.0 /. a)) rest
+            | Aggregate.Elected, (Channel.Null | Channel.Collision)
+            | Aggregate.Continue _, Channel.Single ->
+                false)
+      in
+      go p.Aggregate.init 0.0 states)
 
 (* LESU's pure description against its independent oracle, the
    Schedule-combinator rebuild over Estimation_logic and fresh LESK
@@ -132,22 +138,23 @@ let prop_pure_lesu_matches_declarative =
           let rec go state states =
             Int64.equal
               (Int64.bits_of_float (p.Aggregate.tx_prob state))
-              (Int64.bits_of_float (oracle.Uniform.tx_prob ()))
+              (Int64.bits_of_float (oracle.Closure.tx_prob ()))
             &&
             match states with
             | [] -> true
             | s :: rest -> (
-                match (p.Aggregate.step state s, oracle.Uniform.on_state s) with
-                | Aggregate.Elected, Uniform.Elected -> true
-                | Aggregate.Continue state', Uniform.Continue -> go state' rest
-                | Aggregate.Elected, Uniform.Continue | Aggregate.Continue _, Uniform.Elected
+                match (p.Aggregate.step state s, oracle.Closure.on_state s) with
+                | Aggregate.Elected, Closure.Elected -> true
+                | Aggregate.Continue state', Closure.Continue -> go state' rest
+                | Aggregate.Elected, Closure.Continue | Aggregate.Continue _, Closure.Elected
                   ->
                     false)
           in
           go p.Aggregate.init states)
 
-(* [to_uniform] on a counter: Null adds 1, Collision adds 2, Single
-   elects; the transmit probability reads the count back. *)
+(* The oracles' closure form ([Closure.to_uniform]) on a counter: Null
+   adds 1, Collision adds 2, Single elects; the transmit probability
+   reads the count back. *)
 let test_to_uniform () =
   let counter =
     {
@@ -162,18 +169,77 @@ let test_to_uniform () =
       compare = Int.compare;
     }
   in
-  let factory = Aggregate.to_uniform counter in
+  let factory = Closure.to_uniform counter in
   let u = factory () in
-  check_true "name carried" (u.Uniform.name = "counter");
-  check_float "starts at init" 1.0 (u.Uniform.tx_prob ());
-  check_true "Null continues" (u.Uniform.on_state Channel.Null = Uniform.Continue);
-  check_true "Collision continues" (u.Uniform.on_state Channel.Collision = Uniform.Continue);
-  check_float "state carried between slots" 0.25 (u.Uniform.tx_prob ());
-  check_true "Single reports Elected" (u.Uniform.on_state Channel.Single = Uniform.Elected);
-  check_float "state kept at Elected" 0.25 (u.Uniform.tx_prob ());
-  check_true "Elected again after" (u.Uniform.on_state Channel.Null = Uniform.Elected);
-  check_float "state kept after Elected" 0.25 (u.Uniform.tx_prob ());
-  check_float "fresh instance per call" 1.0 ((factory ()).Uniform.tx_prob ())
+  check_true "name carried" (u.Closure.name = "counter");
+  check_float "starts at init" 1.0 (u.Closure.tx_prob ());
+  check_true "Null continues" (u.Closure.on_state Channel.Null = Closure.Continue);
+  check_true "Collision continues" (u.Closure.on_state Channel.Collision = Closure.Continue);
+  check_float "state carried between slots" 0.25 (u.Closure.tx_prob ());
+  check_true "Single reports Elected" (u.Closure.on_state Channel.Single = Closure.Elected);
+  check_float "state kept at Elected" 0.25 (u.Closure.tx_prob ());
+  check_true "Elected again after" (u.Closure.on_state Channel.Null = Closure.Elected);
+  check_float "state kept after Elected" 0.25 (u.Closure.tx_prob ());
+  check_float "fresh instance per call" 1.0 ((factory ()).Closure.tx_prob ())
+
+(* Every description the library ships, as the engines receive it:
+   each Specs protocol for a run of [n] stations and window [window],
+   and the descriptions the core drivers build. *)
+let shipped ~n ~window =
+  List.map
+    (fun spec -> spec.E.Specs.p_make ~n ~window)
+    E.Specs.
+      [
+        lesk ~eps:0.5;
+        lesk_with_a ~eps:0.5 ~a:1.0;
+        lesu ();
+        estimation;
+        arss;
+        willard;
+        sawtooth;
+        geometric_sweep;
+        backoff;
+        known_n;
+      ]
+  @ [
+      Aggregate.Packed (Lesk.protocol ~eps:0.2 ());
+      Aggregate.Packed (Lesu.protocol ~config:{ Lesu.default_config with c = 0.05 } ());
+      Aggregate.Packed (Jamming_core.Size_approx.estimator ());
+      Aggregate.Packed (Jamming_core.Size_approx.prober ~slots_per_probe:8 ());
+      Aggregate.Packed
+        (Jamming_core.K_selection.round_protocol ~eps:0.5 ~round:2 ~initial_u:3.0);
+    ]
+
+(* Notification's transition memo and the counting engine's class
+   fusion both step a state once for every station that holds it, which
+   is exact only if [step] and [tx_prob] are pure: stepping one state
+   twice must give successors that [compare] calls equal, with
+   bit-equal transmit probabilities, and [compare s s] must be 0. *)
+let pure_along (p : _ Aggregate.protocol) states =
+  let bits s = Int64.bits_of_float (p.Aggregate.tx_prob s) in
+  let rec go s states =
+    p.Aggregate.compare s s = 0
+    && Int64.equal (bits s) (bits s)
+    &&
+    match states with
+    | [] -> true
+    | channel :: rest -> (
+        match (p.Aggregate.step s channel, p.Aggregate.step s channel) with
+        | Aggregate.Elected, Aggregate.Elected -> true
+        | Aggregate.Continue a, Aggregate.Continue b ->
+            p.Aggregate.compare a b = 0 && Int64.equal (bits a) (bits b) && go a rest
+        | Aggregate.Elected, Aggregate.Continue _ | Aggregate.Continue _, Aggregate.Elected ->
+            false)
+  in
+  go p.Aggregate.init states
+
+let prop_shipped_descriptions_pure =
+  qtest ~count:100 "shipped descriptions are pure"
+    QCheck.(triple (int_range 1 100_000) (int_range 1 512) (channel_run ()))
+    (fun (n, window, states) ->
+      List.for_all
+        (fun (Aggregate.Packed p) -> pure_along p states)
+        (shipped ~n ~window))
 
 (* --- engine invariants --- *)
 
@@ -307,9 +373,10 @@ let suite =
     ("differential vs exact, n=1000", `Slow, test_differential_mid);
     ("differential vs exact, n=10000", `Slow, test_differential_large);
     ("trichotomy statistics match", `Slow, test_trichotomy_statistics_match);
-    prop_pure_lesk_mirrors_logic;
+    prop_pure_lesk_mirrors_algorithm_1;
     prop_pure_lesu_matches_declarative;
     ("to_uniform carries and keeps state", `Quick, test_to_uniform);
+    prop_shipped_descriptions_pure;
     prop_result_invariants;
     ("population scale n=1e9", `Quick, test_population_scale);
     ("pool jobs-invariant", `Quick, test_jobs_invariance);

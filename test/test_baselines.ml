@@ -14,16 +14,16 @@ let test_arss_config () =
 let test_arss_validation () =
   let cfg = Arss.config ~n:64 ~window:16 in
   Alcotest.check_raises "bad gamma" (Invalid_argument "Arss_mac: gamma must be positive")
-    (fun () -> ignore (Arss.uniform { cfg with Arss.gamma = 0.0 } ()));
+    (fun () -> ignore (Arss.protocol { cfg with Arss.gamma = 0.0 }));
   Alcotest.check_raises "initial_p above cap"
     (Invalid_argument "Arss_mac: initial_p out of range") (fun () ->
-      ignore (Arss.uniform { cfg with Arss.initial_p = 0.5 } ()))
+      ignore (Arss.protocol { cfg with Arss.initial_p = 0.5 }))
 
 let test_arss_elects_benign () =
   List.iter
     (fun n ->
       let result =
-        run_uniform ~n ~max_slots:500_000 (Arss.uniform (Arss.config ~n ~window:32))
+        run_uniform ~n ~max_slots:500_000 (Arss.protocol (Arss.config ~n ~window:32))
       in
       check_true (Printf.sprintf "ARSS elects at n=%d" n) result.Metrics.elected)
     [ 4; 64; 1024 ]
@@ -32,33 +32,29 @@ let test_arss_elects_under_jamming () =
   let n = 256 in
   let result =
     run_uniform ~n ~adversary:Adversary.greedy ~max_slots:2_000_000
-      (Arss.uniform (Arss.config ~n ~window:32))
+      (Arss.protocol (Arss.config ~n ~window:32))
   in
   check_true "ARSS is robust (it is the paper's robust baseline)" result.Metrics.elected
 
 let test_arss_probability_decreases_on_busy_channel () =
-  let u = Arss.uniform (Arss.config ~n:1024 ~window:64) () in
-  let p0 = u.Uniform.tx_prob () in
+  let p = Arss.protocol (Arss.config ~n:1024 ~window:64) in
+  let p0 = p.Aggregate.tx_prob p.Aggregate.init in
   (* The threshold grows by 2 per back-off, so d decreases cost ~d^2
      collision rounds: 8000 rounds buy ~88 decreases of (1+gamma). *)
-  for _ = 1 to 8_000 do
-    ignore (u.Uniform.on_state Channel.Collision)
-  done;
+  let s = walk p p.Aggregate.init (List.init 8_000 (fun _ -> Channel.Collision)) in
   check_true "multiplicative decrease under sustained collisions"
-    (u.Uniform.tx_prob () < p0 /. 2.0)
+    (p.Aggregate.tx_prob s < p0 /. 2.0)
 
 let test_arss_probability_capped () =
   let cfg = Arss.config ~n:64 ~window:16 in
-  let u = Arss.uniform cfg () in
-  for _ = 1 to 5000 do
-    ignore (u.Uniform.on_state Channel.Null)
-  done;
-  check_true "p never exceeds p_hat" (u.Uniform.tx_prob () <= cfg.Arss.p_hat +. 1e-12)
+  let p = Arss.protocol cfg in
+  let s = walk p p.Aggregate.init (List.init 5000 (fun _ -> Channel.Null)) in
+  check_true "p never exceeds p_hat" (p.Aggregate.tx_prob s <= cfg.Arss.p_hat +. 1e-12)
 
 let test_willard_fast_benign () =
   List.iter
     (fun n ->
-      let result = run_uniform ~n ~max_slots:10_000 (Willard.uniform ()) in
+      let result = run_uniform ~n ~max_slots:10_000 Willard.protocol in
       check_true (Printf.sprintf "Willard elects at n=%d" n) result.Metrics.elected;
       check_true
         (Printf.sprintf "Willard is loglog-fast at n=%d: %d slots" n result.Metrics.slots)
@@ -69,10 +65,10 @@ let test_willard_suffers_under_jamming () =
   (* Not a theorem — a demonstration that fake Collisions mislead the
      binary search: the same election takes far longer. *)
   let n = 1024 in
-  let benign = run_uniform ~seed:5 ~n ~max_slots:3_000_000 (Willard.uniform ()) in
+  let benign = run_uniform ~seed:5 ~n ~max_slots:3_000_000 Willard.protocol in
   let jammed =
     run_uniform ~seed:5 ~n ~eps:0.3 ~window:64 ~adversary:Adversary.greedy
-      ~max_slots:3_000_000 (Willard.uniform ())
+      ~max_slots:3_000_000 Willard.protocol
   in
   check_true "jamming slows Willard dramatically (or kills it)"
     ((not jammed.Metrics.elected)
@@ -81,26 +77,27 @@ let test_willard_suffers_under_jamming () =
 let test_sawtooth_elects () =
   List.iter
     (fun n ->
-      let result = run_uniform ~n ~max_slots:200_000 (NO.sawtooth ()) in
+      let result = run_uniform ~n ~max_slots:200_000 NO.sawtooth in
       check_true (Printf.sprintf "sawtooth elects at n=%d" n) result.Metrics.elected)
     [ 2; 32; 1024 ]
 
 let test_sawtooth_probability_cycle () =
-  let u = NO.sawtooth () () in
+  let p = NO.sawtooth in
   (* Round 1 probes j=1; round 2 probes j=1,2; ... *)
   let expected = [ 0.5; 0.5; 0.25; 0.5; 0.25; 0.125 ] in
-  List.iter
-    (fun e ->
-      check_float "sawtooth probe sequence" e (u.Uniform.tx_prob ());
-      ignore (u.Uniform.on_state Channel.Collision))
-    expected
+  ignore
+    (List.fold_left
+       (fun s e ->
+         check_float "sawtooth probe sequence" e (p.Aggregate.tx_prob s);
+         walk p s [ Channel.Collision ])
+       p.Aggregate.init expected)
 
 let test_geometric_sweep_elects () =
-  let result = run_uniform ~n:128 ~max_slots:200_000 (NO.geometric_sweep ()) in
+  let result = run_uniform ~n:128 ~max_slots:200_000 NO.geometric_sweep in
   check_true "geometric sweep elects" result.Metrics.elected
 
 let test_backoff_elects_benign () =
-  let result = run_uniform ~n:64 ~max_slots:100_000 (Backoff.uniform ()) in
+  let result = run_uniform ~n:64 ~max_slots:100_000 Backoff.protocol in
   check_true "backoff elects on a clear channel" result.Metrics.elected
 
 let test_backoff_starves_under_jamming () =
@@ -108,29 +105,30 @@ let test_backoff_starves_under_jamming () =
      doubles the backoff; with eps=0.25 the channel is 75% jammed. *)
   let result =
     run_uniform ~seed:11 ~n:64 ~eps:0.25 ~window:32 ~adversary:Adversary.greedy
-      ~max_slots:100_000 (Backoff.uniform ())
+      ~max_slots:100_000 Backoff.protocol
   in
-  let benign = run_uniform ~seed:11 ~n:64 ~max_slots:100_000 (Backoff.uniform ()) in
+  let benign = run_uniform ~seed:11 ~n:64 ~max_slots:100_000 Backoff.protocol in
   check_true "jamming starves backoff"
     ((not result.Metrics.elected) || result.Metrics.slots > 10 * benign.Metrics.slots)
 
 let test_backoff_counter_moves () =
-  let u = Backoff.uniform () () in
-  check_float "starts at p=1" 1.0 (u.Uniform.tx_prob ());
-  ignore (u.Uniform.on_state Channel.Collision);
-  check_float "halves on collision" 0.5 (u.Uniform.tx_prob ());
-  ignore (u.Uniform.on_state Channel.Null);
-  check_float "doubles back on null" 1.0 (u.Uniform.tx_prob ())
+  let p = Backoff.protocol in
+  check_float "starts at p=1" 1.0 (p.Aggregate.tx_prob p.Aggregate.init);
+  let b = walk p p.Aggregate.init [ Channel.Collision ] in
+  check_float "halves on collision" 0.5 (p.Aggregate.tx_prob b);
+  check_float "doubles back on null" 1.0 (p.Aggregate.tx_prob (walk p b [ Channel.Null ]));
+  let capped = walk p b (List.init 100 (fun _ -> Channel.Collision)) in
+  check_float "exponent capped at 60" (Float.exp2 (-60.0)) (p.Aggregate.tx_prob capped)
 
 let test_known_n_properties () =
-  let u = Backoff.known_n ~n:64 () in
-  check_float "p = 1/n" (1.0 /. 64.0) (u.Uniform.tx_prob ());
-  let result = run_uniform ~n:64 ~max_slots:10_000 (Backoff.known_n ~n:64) in
+  let p = Backoff.known_n ~n:64 in
+  check_float "p = 1/n" (1.0 /. 64.0) (p.Aggregate.tx_prob p.Aggregate.init);
+  let result = run_uniform ~n:64 ~max_slots:10_000 p in
   check_true "known-n elects quickly" (result.Metrics.elected && result.Metrics.slots < 500)
 
 let test_known_n_validation () =
   Alcotest.check_raises "n = 0" (Invalid_argument "Backoff.known_n: n must be >= 1")
-    (fun () -> ignore (Backoff.known_n ~n:0 ()))
+    (fun () -> ignore (Backoff.known_n ~n:0))
 
 let suite =
   [

@@ -24,9 +24,9 @@ let running = function
   | `Singled -> Alcotest.fail "unexpected Single"
 
 let test_validation () =
-  Alcotest.check_raises "uniform, threshold 0"
-    (Invalid_argument "Estimation.uniform: threshold must be >= 1") (fun () ->
-      ignore (Estimation.uniform ~threshold:0 () ()));
+  Alcotest.check_raises "protocol, threshold 0"
+    (Invalid_argument "Estimation.protocol: threshold must be >= 1") (fun () ->
+      ignore (Estimation.protocol ~threshold:0 ()));
   Alcotest.check_raises "Size_approx.run, threshold 0"
     (Invalid_argument "Size_approx.run: threshold must be >= 1") (fun () ->
       ignore
@@ -148,12 +148,12 @@ let test_n_hat_polynomial () =
   | Size_approx.Exhausted _ -> Alcotest.fail "no estimate"
 
 let test_uniform_wrapper_stops_transmitting () =
-  let factory = Estimation.uniform ~threshold:2 () in
-  let u = factory () in
-  (* Feed Nulls until it returns; afterwards tx_prob must be 0. *)
-  ignore (u.Uniform.on_state Channel.Null);
-  ignore (u.Uniform.on_state Channel.Null);
-  check_float "post-return probability 0" 0.0 (u.Uniform.tx_prob ())
+  let p = Estimation.protocol ~threshold:2 () in
+  (* Feed Nulls until it returns; afterwards tx_prob must be 0, and it
+     stays returned. *)
+  let s = walk p p.Aggregate.init (nulls 2) in
+  check_float "post-return probability 0" 0.0 (p.Aggregate.tx_prob s);
+  check_true "stays returned" (walk p s (collisions 5) = Estimation.Returned 1)
 
 let suite =
   [

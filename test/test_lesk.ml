@@ -3,11 +3,11 @@ module Taxonomy = Jamming_core.Taxonomy
 open Test_util
 
 let test_logic_initial () =
-  let l = Lesk.Logic.create ~eps:0.5 () in
-  check_float "u starts at 0" 0.0 (Lesk.Logic.u l);
-  check_float "a = 8/eps" 16.0 (Lesk.Logic.a l);
-  check_float "tx_prob = 1 at u=0" 1.0 (Lesk.Logic.tx_prob l);
-  check_true "not elected" (not (Lesk.Logic.elected l))
+  let p = Lesk.protocol ~eps:0.5 () in
+  check_float "u starts at 0" 0.0 p.Aggregate.init;
+  check_float "a = 8/eps" 16.0 (Lesk.step_denominator ~where:"test" ~eps:0.5 ());
+  check_float "tx_prob = 1 at u=0" 1.0 (p.Aggregate.tx_prob p.Aggregate.init);
+  check_float "Null at u=0 stays at 0" 0.0 (walk p p.Aggregate.init [ Channel.Null ])
 
 let test_config_valid () =
   check_true "0.5 valid" (Lesk.config_valid ~eps:0.5);
@@ -16,61 +16,59 @@ let test_config_valid () =
   check_true "1.5 invalid" (not (Lesk.config_valid ~eps:1.5))
 
 let test_logic_validation () =
-  Alcotest.check_raises "eps = 0" (Invalid_argument "Lesk.Logic.create: eps must lie in (0, 1]")
-    (fun () -> ignore (Lesk.Logic.create ~eps:0.0 ()));
-  Alcotest.check_raises "eps > 1" (Invalid_argument "Lesk.Logic.create: eps must lie in (0, 1]")
-    (fun () -> ignore (Lesk.Logic.create ~eps:1.0001 ()));
-  Alcotest.check_raises "negative initial u"
-    (Invalid_argument "Lesk.Logic.create: initial_u must be >= 0") (fun () ->
-      ignore (Lesk.Logic.create ~initial_u:(-1.0) ~eps:0.5 ()))
+  Alcotest.check_raises "eps = 0" (Invalid_argument "Lesk.protocol: eps must lie in (0, 1]")
+    (fun () -> ignore (Lesk.protocol ~eps:0.0 ()));
+  Alcotest.check_raises "eps > 1" (Invalid_argument "Lesk.protocol: eps must lie in (0, 1]")
+    (fun () -> ignore (Lesk.protocol ~eps:1.0001 ()));
+  Alcotest.check_raises "a < 1" (Invalid_argument "Lesk.protocol: a must be >= 1") (fun () ->
+      ignore (Lesk.protocol ~a:0.5 ~eps:0.5 ()))
 
 let test_logic_steps () =
-  let l = Lesk.Logic.create ~eps:0.5 () in
+  let p = Lesk.protocol ~eps:0.5 () in
   (* Collision: + eps/8 = 1/16. *)
-  Lesk.Logic.on_state l Channel.Collision;
-  check_float "collision adds 1/a" (1.0 /. 16.0) (Lesk.Logic.u l);
-  Lesk.Logic.on_state l Channel.Collision;
-  check_float "second collision" (2.0 /. 16.0) (Lesk.Logic.u l);
+  let u = walk p p.Aggregate.init [ Channel.Collision ] in
+  check_float "collision adds 1/a" (1.0 /. 16.0) u;
+  let u = walk p u [ Channel.Collision ] in
+  check_float "second collision" (2.0 /. 16.0) u;
   (* Null: -1 clamped at 0. *)
-  Lesk.Logic.on_state l Channel.Null;
-  check_float "null floors at 0" 0.0 (Lesk.Logic.u l);
-  for _ = 1 to 32 do
-    Lesk.Logic.on_state l Channel.Collision
-  done;
-  check_float "32 collisions = 2" 2.0 (Lesk.Logic.u l);
-  Lesk.Logic.on_state l Channel.Null;
-  check_float "null subtracts a full unit" 1.0 (Lesk.Logic.u l);
-  check_float "tx prob is 2^-u" 0.5 (Lesk.Logic.tx_prob l)
+  let u = walk p u [ Channel.Null ] in
+  check_float "null floors at 0" 0.0 u;
+  let u = walk p u (List.init 32 (fun _ -> Channel.Collision)) in
+  check_float "32 collisions = 2" 2.0 u;
+  let u = walk p u [ Channel.Null ] in
+  check_float "null subtracts a full unit" 1.0 u;
+  check_float "tx prob is 2^-u" 0.5 (p.Aggregate.tx_prob u)
 
 let test_logic_single_terminates () =
-  let l = Lesk.Logic.create ~eps:0.25 () in
-  Lesk.Logic.on_state l Channel.Single;
-  check_true "elected after Single" (Lesk.Logic.elected l)
+  let p = Lesk.protocol ~eps:0.25 () in
+  List.iter
+    (fun u ->
+      check_true "elected after Single"
+        (match p.Aggregate.step u Channel.Single with
+        | Aggregate.Elected -> true
+        | Aggregate.Continue _ -> false))
+    [ 0.0; 1.5; 20.0 ]
 
 let test_null_neutralizes_a_collisions () =
   (* The design invariant of 2.1: one Null cancels exactly a = 8/eps
      collisions. *)
   List.iter
     (fun eps ->
-      let l = Lesk.Logic.create ~eps () in
-      let a = int_of_float (Lesk.Logic.a l) in
-      for _ = 1 to a do
-        Lesk.Logic.on_state l Channel.Collision
-      done;
-      check_float_eps 1e-9 "a collisions = +1" 1.0 (Lesk.Logic.u l);
-      Lesk.Logic.on_state l Channel.Null;
-      check_float_eps 1e-9 "one Null cancels them" 0.0 (Lesk.Logic.u l))
+      let p = Lesk.protocol ~eps () in
+      let a = int_of_float (Lesk.step_denominator ~where:"test" ~eps ()) in
+      let u = walk p 0.0 (List.init a (fun _ -> Channel.Collision)) in
+      check_float_eps 1e-9 "a collisions = +1" 1.0 u;
+      check_float_eps 1e-9 "one Null cancels them" 0.0 (walk p u [ Channel.Null ]))
     [ 0.5; 0.25; 0.125 ]
 
 let test_custom_a () =
-  let l = Lesk.Logic.create ~a:4.0 ~eps:0.5 () in
-  Lesk.Logic.on_state l Channel.Collision;
-  check_float "override step" 0.25 (Lesk.Logic.u l)
+  let p = Lesk.protocol ~a:4.0 ~eps:0.5 () in
+  check_float "override step" 0.25 (walk p 0.0 [ Channel.Collision ])
 
 let test_uniform_elects_without_adversary () =
   List.iter
     (fun n ->
-      let result = run_uniform ~n (Lesk.uniform ~eps:0.5) in
+      let result = run_uniform ~n (Lesk.protocol ~eps:0.5 ()) in
       check_true (Printf.sprintf "elects at n=%d" n) result.Metrics.elected;
       (* Generous sanity envelope: ~40x the theory shape. *)
       let bound = Lesk.expected_time_bound ~eps:0.5 ~n ~window:32 in
@@ -84,7 +82,7 @@ let test_uniform_elects_under_greedy_jamming () =
   List.iter
     (fun eps ->
       let result =
-        run_uniform ~eps ~adversary:Adversary.greedy ~n:256 (Lesk.uniform ~eps)
+        run_uniform ~eps ~adversary:Adversary.greedy ~n:256 (Lesk.protocol ~eps ())
       in
       check_true (Printf.sprintf "elects under greedy jamming at eps=%.2f" eps)
         result.Metrics.elected)
@@ -101,11 +99,15 @@ let test_station_u_synchronized () =
      Collision patterns consistent with a common p.  We verify via the
      engine's slot trace replayed through a tracker. *)
   let eps = 0.5 in
-  let tracker = Lesk.Logic.create ~eps () in
+  let p = Lesk.protocol ~eps () in
+  let tracker = ref (Aggregate.Continue p.Aggregate.init) in
   let expected_p = ref [] in
   let record (r : Metrics.slot_record) =
-    expected_p := Lesk.Logic.tx_prob tracker :: !expected_p;
-    Lesk.Logic.on_state tracker r.Metrics.state
+    match !tracker with
+    | Aggregate.Elected -> ()
+    | Aggregate.Continue u ->
+        expected_p := p.Aggregate.tx_prob u :: !expected_p;
+        tracker := p.Aggregate.step u r.Metrics.state
   in
   let rng = rng () in
   let stations = Engine.make_stations ~n:8 ~rng (Lesk.station ~eps) in
@@ -118,7 +120,7 @@ let test_station_u_synchronized () =
       ~budget ~max_slots:100_000 ~stations ()
   in
   check_true "elected" result.Metrics.elected;
-  check_true "tracker reaches election too" (Lesk.Logic.elected tracker);
+  check_true "tracker reaches election too" (!tracker = Aggregate.Elected);
   check_true "probabilities stayed in (0, 1]"
     (List.for_all (fun p -> p > 0.0 && p <= 1.0) !expected_p)
 
@@ -140,7 +142,7 @@ let run_lesk_with_taxonomy ~seed ~n ~eps ~adversary =
     Uniform_engine.run
       ~observers:[ Jamming_sim.Observer.of_on_slot (Taxonomy.on_slot tracker) ]
       ~n ~rng
-      ~protocol:(Lesk.uniform ~eps ())
+      ~protocol:(Lesk.protocol ~eps ())
       ~adversary:(adversary ()) ~budget ~max_slots:500_000 ()
   in
   (result, Taxonomy.counts tracker)
@@ -184,11 +186,12 @@ let prop_logic_u_nonnegative =
   qtest ~count:200 "u never goes negative under any state sequence"
     QCheck.(pair (float_range 0.05 1.0) (list (int_range 0 1)))
     (fun (eps, moves) ->
-      let l = Lesk.Logic.create ~eps () in
-      List.iter
-        (fun m -> Lesk.Logic.on_state l (if m = 0 then Channel.Null else Channel.Collision))
-        moves;
-      Lesk.Logic.u l >= 0.0 && Lesk.Logic.tx_prob l <= 1.0 && Lesk.Logic.tx_prob l > 0.0)
+      let p = Lesk.protocol ~eps () in
+      let u =
+        walk p p.Aggregate.init
+          (List.map (fun m -> if m = 0 then Channel.Null else Channel.Collision) moves)
+      in
+      u >= 0.0 && p.Aggregate.tx_prob u <= 1.0 && p.Aggregate.tx_prob u > 0.0)
 
 let suite =
   [

@@ -74,7 +74,7 @@ let test_single_elects_any_stage () =
 let test_elects_without_adversary () =
   List.iter
     (fun n ->
-      let result = run_uniform ~n (Lesu.uniform ()) in
+      let result = run_uniform ~n (Lesu.protocol ()) in
       check_true (Printf.sprintf "LESU elects at n=%d" n) result.Metrics.elected)
     [ 2; 16; 256; 4096 ]
 
@@ -83,7 +83,7 @@ let test_elects_under_jamming () =
     (fun eps ->
       let result =
         run_uniform ~eps ~adversary:Adversary.greedy ~n:512 ~max_slots:2_000_000
-          (Lesu.uniform ())
+          (Lesu.protocol ())
       in
       check_true (Printf.sprintf "LESU elects under greedy eps=%.2f" eps)
         result.Metrics.elected)

@@ -66,7 +66,7 @@ let test_markov_matches_simulation () =
   let reps = 600 in
   let sum = ref 0.0 in
   for seed = 1 to reps do
-    let r = run_uniform ~seed ~eps:0.5 ~n (Jamming_core.Lesk.uniform ~eps:0.5) in
+    let r = run_uniform ~seed ~eps:0.5 ~n (Jamming_core.Lesk.protocol ~eps:0.5 ()) in
     sum := !sum +. float_of_int r.Metrics.slots
   done;
   let sim_mean = !sum /. float_of_int reps in

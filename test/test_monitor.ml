@@ -195,7 +195,7 @@ let test_engine_catches_two_leaders () =
   let v =
     expect_violation Monitor.At_most_one_leader (fun () ->
         ignore
-          (Engine.run ~monitor ~cd:Channel.Strong_cd ~adversary:(Adversary.none ())
+          (Engine.run ~observers:[ Monitor.observer monitor ] ~cd:Channel.Strong_cd ~adversary:(Adversary.none ())
              ~budget:(Budget.create ~window:4 ~eps:0.5)
              ~max_slots:10 ~stations ()))
   in
@@ -209,7 +209,7 @@ let test_engine_monitor_agrees_with_budget () =
   let stations = Engine.make_stations ~n:16 ~rng:g (Jamming_core.Lesk.station ~eps:0.5) in
   let monitor = Monitor.create ~window:16 ~eps:0.5 () in
   let result =
-    Engine.run ~monitor ~cd:Channel.Strong_cd ~adversary:(Adversary.greedy ())
+    Engine.run ~observers:[ Monitor.observer monitor ] ~cd:Channel.Strong_cd ~adversary:(Adversary.greedy ())
       ~budget:(Budget.create ~window:16 ~eps:0.5)
       ~max_slots:200_000 ~stations ()
   in
@@ -233,7 +233,7 @@ let test_engine_monitor_stricter_than_budget () =
   ignore
     (expect_violation Monitor.Jam_budget (fun () ->
          ignore
-           (Engine.run ~monitor ~cd:Channel.Strong_cd ~adversary:(Adversary.greedy ())
+           (Engine.run ~observers:[ Monitor.observer monitor ] ~cd:Channel.Strong_cd ~adversary:(Adversary.greedy ())
               ~budget:(Budget.create ~window:4 ~eps:0.25)
               ~max_slots:100 ~stations ())))
 

@@ -6,12 +6,12 @@ let constant_phase ~label ~duration ~p () =
     ~duration:(fun () -> duration)
     (fun () ->
       {
-        Uniform.name = label;
+        Closure.name = label;
         tx_prob = (fun () -> p);
         on_state =
           (fun state ->
-            if Channel.equal_state state Channel.Single then Uniform.Elected
-            else Uniform.Continue);
+            if Channel.equal_state state Channel.Single then Closure.Elected
+            else Closure.Continue);
       })
     ()
 
@@ -28,14 +28,14 @@ let test_phases_advance () =
          ])
   in
   let u = factory () in
-  check_float "phase a prob" 0.25 (u.Uniform.tx_prob ());
-  ignore (u.Uniform.on_state Channel.Collision);
-  ignore (u.Uniform.on_state Channel.Collision);
-  check_float "phase b prob after 2 slots" 0.5 (u.Uniform.tx_prob ());
-  ignore (u.Uniform.on_state Channel.Collision);
-  ignore (u.Uniform.on_state Channel.Collision);
-  ignore (u.Uniform.on_state Channel.Collision);
-  check_float "exhausted schedule is silent" 0.0 (u.Uniform.tx_prob ());
+  check_float "phase a prob" 0.25 (u.Closure.tx_prob ());
+  ignore (u.Closure.on_state Channel.Collision);
+  ignore (u.Closure.on_state Channel.Collision);
+  check_float "phase b prob after 2 slots" 0.5 (u.Closure.tx_prob ());
+  ignore (u.Closure.on_state Channel.Collision);
+  ignore (u.Closure.on_state Channel.Collision);
+  ignore (u.Closure.on_state Channel.Collision);
+  check_float "exhausted schedule is silent" 0.0 (u.Closure.tx_prob ());
   Alcotest.(check (list string)) "phase order" [ "a"; "b" ] (List.rev !labels)
 
 let test_elected_stops_schedule () =
@@ -44,10 +44,10 @@ let test_elected_stops_schedule () =
       (Schedule.of_list [ (fun () -> constant_phase ~label:"x" ~duration:10 ~p:0.5 ()) ])
   in
   let u = factory () in
-  (match u.Uniform.on_state Channel.Single with
-  | Uniform.Elected -> ()
-  | Uniform.Continue -> Alcotest.fail "Single must elect");
-  check_float "silent after election" 0.0 (u.Uniform.tx_prob ())
+  (match u.Closure.on_state Channel.Single with
+  | Closure.Elected -> ()
+  | Closure.Continue -> Alcotest.fail "Single must elect");
+  check_float "silent after election" 0.0 (u.Closure.tx_prob ())
 
 let test_timeboxed_validation () =
   Alcotest.check_raises "duration 0" (Invalid_argument "Schedule.timeboxed: duration must be >= 1")
@@ -70,15 +70,15 @@ let test_lesu_differential () =
   List.iter
     (fun (n, eps, window) ->
       for seed = 1 to 25 do
-        let run factory =
+        let run protocol =
           let result =
             run_uniform ~seed ~eps ~window ~adversary:Adversary.greedy
-              ~max_slots:400_000 ~n factory
+              ~max_slots:400_000 ~n protocol
           in
           result.Metrics.slots
         in
-        let hand = run (Lesu.uniform ()) in
-        let declarative = run (Lesu_declarative.uniform ()) in
+        let hand = run (Lesu.protocol ()) in
+        let declarative = run (Closure.to_protocol (Lesu_declarative.uniform ())) in
         check_int
           (Printf.sprintf "identical at n=%d eps=%.2f T=%d seed=%d" n eps window seed)
           hand declarative
@@ -91,7 +91,7 @@ let test_lesu_differential_phase_labels () =
   let factory = Lesu_declarative.uniform ~on_phase:(fun l -> labels := l :: !labels) () in
   let (_ : Metrics.result) =
     run_uniform ~seed:11 ~eps:0.3 ~window:64 ~adversary:Adversary.greedy ~max_slots:400_000
-      ~n:512 factory
+      ~n:512 (Closure.to_protocol factory)
   in
   match List.rev !labels with
   | "estimation" :: "lesk(i=1,j=1)" :: rest ->

@@ -182,13 +182,13 @@ let test_timeout_with_standing_leader () =
    the seed: stations, adversary, budget, fault plans and sensing noise
    (mirroring Runner's dedicated fault streams), plus a needs_leaders
    observer logging every slot record and leader count, and optionally
-   the online monitor (safety checks, which hold under faults). *)
-let run_active ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
-  Engine.run ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots ~stations ()
+   the online monitor (safety checks, which hold under faults) notified
+   ahead of it. *)
+let run_active ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
+  Engine.run ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations ()
 
-let run_oracle ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
-  Reference_engine.run ?faults ?monitor ~observers ~cd ~adversary ~budget ~max_slots
-    ~stations ()
+let run_oracle ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations () =
+  Reference_engine.run ?faults ~observers ~cd ~adversary ~budget ~max_slots ~stations ()
 
 let equivalence_run ?(monitored = false) engine_run ~seed ~n ~faulty factory =
   let log = ref [] in
@@ -218,13 +218,15 @@ let equivalence_run ?(monitored = false) engine_run ~seed ~n ~faulty factory =
   let budget = Budget.create ~window:16 ~eps:0.5 in
   let monitor =
     if monitored then
-      Some
-        (Jamming_sim.Monitor.create ~checks:Jamming_sim.Monitor.safety_checks ~seed ~window:16
-           ~eps:0.5 ())
-    else None
+      [
+        Jamming_sim.Monitor.observer
+          (Jamming_sim.Monitor.create ~checks:Jamming_sim.Monitor.safety_checks ~seed
+             ~window:16 ~eps:0.5 ());
+      ]
+    else []
   in
   let result =
-    engine_run ?faults ?monitor ~observers:[ recording ] ~cd:Channel.Strong_cd
+    engine_run ?faults ~observers:(monitor @ [ recording ]) ~cd:Channel.Strong_cd
       ~adversary:(Adversary.greedy ()) ~budget ~max_slots:50_000 ~stations ()
   in
   (result, List.rev !log)
@@ -269,13 +271,16 @@ let test_active_set_matches_reference_staggered () =
 
 (* --- uniform engine --- *)
 
-let constant_p p () =
+let constant_p p =
   {
-    Uniform.name = "const";
+    Aggregate.name = "const";
+    init = ();
     tx_prob = (fun () -> p);
-    on_state =
-      (fun state ->
-        if Channel.equal_state state Channel.Single then Uniform.Elected else Uniform.Continue);
+    step =
+      (fun () state ->
+        if Channel.equal_state state Channel.Single then Aggregate.Elected
+        else Aggregate.Continue ());
+    compare = Unit.compare;
   }
 
 let test_uniform_engine_many_is_lower_bound () =
@@ -293,7 +298,7 @@ let test_uniform_engine_many_is_lower_bound () =
   let (_ : Metrics.result) =
     Uniform_engine.run
       ~observers:[ Jamming_sim.Monitor.observer mon; obs ]
-      ~n:8 ~rng:g ~protocol:(constant_p 1.0 ()) ~adversary:(Adversary.none ()) ~budget
+      ~n:8 ~rng:g ~protocol:(constant_p 1.0) ~adversary:(Adversary.none ()) ~budget
       ~max_slots:5 ()
   in
   check_int "five slots recorded" 5 (List.length !records);
@@ -307,7 +312,7 @@ let test_uniform_engine_many_is_lower_bound () =
   let (_ : Metrics.result) =
     Uniform_engine.run
       ~observers:[ Observer.of_on_slot (fun r -> records0 := r :: !records0) ]
-      ~n:8 ~rng:g ~protocol:(constant_p 0.0 ()) ~adversary:(Adversary.none ()) ~budget
+      ~n:8 ~rng:g ~protocol:(constant_p 0.0) ~adversary:(Adversary.none ()) ~budget
       ~max_slots:3 ()
   in
   check_true "Zero class stays Exact 0"
@@ -351,7 +356,7 @@ let test_engines_agree_on_means () =
   let eps = 0.5 in
   let sum_fast = ref 0.0 and sum_exact = ref 0.0 in
   for i = 1 to reps do
-    let rf = run_uniform ~seed:(1000 + i) ~n:16 (Jamming_core.Lesk.uniform ~eps) in
+    let rf = run_uniform ~seed:(1000 + i) ~n:16 (Jamming_core.Lesk.protocol ~eps ()) in
     sum_fast := !sum_fast +. float_of_int rf.Metrics.slots;
     let re = run_exact ~seed:(2000 + i) ~n:16 (Jamming_core.Lesk.station ~eps) in
     sum_exact := !sum_exact +. float_of_int re.Metrics.slots
@@ -367,24 +372,24 @@ let test_engines_agree_on_means () =
    engine goes in id order).  Valid in strong-CD, where all stations
    perceive the same state; the factory serves stations 0 .. n−1 of a
    single run. *)
-let to_station (shared : Uniform.t) : Station.factory =
+let to_station (shared : Closure.t) : Station.factory =
   let advanced_slot = ref (-1) in
-  let last_outcome = ref Uniform.Continue in
+  let last_outcome = ref Closure.Continue in
   fun ~id ~rng ->
     let status = ref Station.Undecided in
     let finished = ref false in
     let decide ~slot:_ =
-      let p = shared.Uniform.tx_prob () in
+      let p = shared.Closure.tx_prob () in
       if Prng.bool rng ~p then Station.Transmit else Station.Listen
     in
     let observe ~slot ~perceived ~transmitted =
       if slot > !advanced_slot then begin
         advanced_slot := slot;
-        last_outcome := shared.Uniform.on_state perceived
+        last_outcome := shared.Closure.on_state perceived
       end;
       match !last_outcome with
-      | Uniform.Continue -> ()
-      | Uniform.Elected ->
+      | Closure.Continue -> ()
+      | Closure.Elected ->
           status := (if transmitted then Station.Leader else Station.Non_leader);
           finished := true
     in
@@ -399,7 +404,7 @@ let to_station (shared : Uniform.t) : Station.factory =
 let test_to_station_shared_logic () =
   (* [to_station] shares ONE logic across all stations: election
      semantics must match the distributed adapter in strong-CD. *)
-  let shared = (Jamming_core.Lesk.uniform ~eps:0.5) () in
+  let shared = Closure.to_uniform (Jamming_core.Lesk.protocol ~eps:0.5 ()) () in
   let factory = to_station shared in
   let rng = rng ~seed:31 () in
   let stations = Engine.make_stations ~n:16 ~rng factory in
@@ -446,7 +451,7 @@ let test_start_slot_offsets_adversary_view () =
   let rng = rng () in
   let budget = Budget.create ~window:4 ~eps:0.5 in
   let (_ : Metrics.result) =
-    Uniform_engine.run ~start_slot:100 ~n:4 ~rng ~protocol:(constant_p 0.0 ())
+    Uniform_engine.run ~start_slot:100 ~n:4 ~rng ~protocol:(constant_p 0.0)
       ~adversary:(adv ()) ~budget ~max_slots:3 ()
   in
   Alcotest.(check (list int)) "adversary sees offset slots" [ 102; 101; 100 ] !seen
@@ -459,7 +464,7 @@ let prop_uniform_engine_accounting =
       let budget = Budget.create ~window:16 ~eps in
       let r =
         Uniform_engine.run ~n ~rng:g
-          ~protocol:(Jamming_core.Lesk.uniform ~eps ())
+          ~protocol:(Jamming_core.Lesk.protocol ~eps ())
           ~adversary:(Adversary.greedy ()) ~budget ~max_slots:200_000 ()
       in
       r.Metrics.nulls + r.Metrics.singles + r.Metrics.collisions = r.Metrics.slots

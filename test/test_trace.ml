@@ -50,7 +50,7 @@ let test_engine_integration () =
     Uniform_engine.run
       ~observers:[ Jamming_sim.Observer.of_on_slot (Trace.record t) ]
       ~n:64 ~rng
-      ~protocol:(Jamming_core.Lesk.uniform ~eps:0.5 ())
+      ~protocol:(Jamming_core.Lesk.protocol ~eps:0.5 ())
       ~adversary:(Adversary.greedy ()) ~budget ~max_slots:100_000 ()
   in
   check_int "trace saw every slot" result.Metrics.slots (Trace.recorded t);

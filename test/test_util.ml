@@ -6,7 +6,7 @@ module Channel = Jamming_channel.Channel
 module Budget = Jamming_adversary.Budget
 module Adversary = Jamming_adversary.Adversary
 module Station = Jamming_station.Station
-module Uniform = Jamming_station.Uniform
+module Aggregate = Jamming_sim.Aggregate
 module Metrics = Jamming_sim.Metrics
 module Engine = Jamming_sim.Engine
 module Uniform_engine = Jamming_sim.Uniform_engine
@@ -49,13 +49,23 @@ let channel_run ?(max_len = 1500) () =
   in
   QCheck.make ~print:(fun l -> String.of_seq (Seq.map letter (List.to_seq l))) gen
 
-(* Run a uniform protocol to completion on the fast engine. *)
+(* Run a uniform protocol's description to completion on the fast
+   engine. *)
 let run_uniform ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 200_000)
-    ?(adversary = Adversary.none) ~n factory =
+    ?(adversary = Adversary.none) ~n protocol =
   let rng = Prng.create ~seed in
   let budget = Budget.create ~window ~eps in
-  Uniform_engine.run ~n ~rng ~protocol:(factory ()) ~adversary:(adversary ()) ~budget
-    ~max_slots ()
+  Uniform_engine.run ~n ~rng ~protocol ~adversary:(adversary ()) ~budget ~max_slots ()
+
+(* The state a description reaches from [s] along [states], none of
+   which may elect. *)
+let walk (p : _ Aggregate.protocol) s states =
+  List.fold_left
+    (fun s state ->
+      match p.Aggregate.step s state with
+      | Aggregate.Continue s -> s
+      | Aggregate.Elected -> Alcotest.fail (p.Aggregate.name ^ ": unexpected election"))
+    s states
 
 (* Run station factories to completion on the exact engine. *)
 let run_exact ?(seed = 7) ?(eps = 0.5) ?(window = 32) ?(max_slots = 400_000)
